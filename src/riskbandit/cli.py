@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -97,30 +97,12 @@ def _write_table(out_dir: Path, stem: str, fmt: str, header: list[str], rows, me
     return path
 
 
-def _meta(spec: ExperimentSpec, threads: int) -> dict:
-    config = resolved_config_dict(spec, threads)
-    # out and threads are execution details; embedding them would break the
-    # byte-identity of reruns into a different directory or pool size
-    del config["out"], config["threads"]
+def _meta(spec: ExperimentSpec) -> dict:
+    config = resolved_config_dict(spec)
+    # the output directory is an execution detail; embedding it would break
+    # the byte-identity of reruns into a different directory
+    del config["out"]
     return {"seed": spec.seed, "config": json.dumps(config, sort_keys=True, separators=(",", ":"))}
-
-
-def _resolve_threads(flag: int | None, spec_threads: int | None) -> int:
-    if flag is not None:
-        value = flag
-    elif os.environ.get("RISKBANDIT_THREADS"):
-        raw = os.environ["RISKBANDIT_THREADS"]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"RISKBANDIT_THREADS: expected an integer, got {raw!r}") from None
-    elif spec_threads is not None:
-        value = spec_threads
-    else:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise ConfigError(f"threads: must be >= 1, got {value}")
-    return value
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -142,19 +124,56 @@ def _write_summary(out_dir: Path, name: str, payload: dict) -> None:
     print(f"wrote {path}")
 
 
+@dataclass
+class _Experiment:
+    """What ``run`` and ``sweep`` share: the spec, its output directory, the
+    metadata every table embeds, and the start of the wall clock."""
+
+    spec: ExperimentSpec
+    out_dir: Path
+    meta: dict
+    started_at: str
+    clock: float
+
+    @classmethod
+    def open(cls, args) -> "_Experiment":
+        started_at = datetime.now(timezone.utc).isoformat()
+        clock = time.perf_counter()
+        spec = _apply_overrides(load_experiment_spec(args.spec), args)
+        out_dir = Path(spec.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return cls(spec, out_dir, _meta(spec), started_at, clock)
+
+    def write_table(self, stem: str, header: list[str], rows) -> None:
+        _write_table(self.out_dir, stem, self.spec.format, header, rows, self.meta)
+
+    def close(self, command: str, name: str, results: dict) -> None:
+        """Write the summary file ``name``, with ``results`` under their own keys."""
+        _write_summary(
+            self.out_dir,
+            name,
+            {
+                "schema": JSON_SCHEMA,
+                "command": command,
+                "seed": self.spec.seed,
+                # episodes always run serially; the key stays for existing readers
+                "config": {**resolved_config_dict(self.spec), "threads": 1},
+                **results,
+                "timing": {
+                    "started_at": self.started_at,
+                    "wall_seconds": round(time.perf_counter() - self.clock, 3),
+                },
+            },
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_run(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    clock = time.perf_counter()
-    spec = _apply_overrides(load_experiment_spec(args.spec), args)
-    threads = _resolve_threads(args.threads, spec.threads)
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(spec, threads)
-
+    exp = _Experiment.open(args)
+    spec = exp.spec
     policy_stats = {}
     for entry in spec.policies:
         ledgers = []
@@ -169,16 +188,14 @@ def cmd_run(args) -> int:
                 seed=derive_seed(spec.seed, EPISODE_DOMAIN, inst),
                 n_runs=spec.runs,
             )
-            batch = run_many(cfg, threads=threads)
+            batch = run_many(cfg)
             ledgers.extend(batch)
             per_instance_final.append(sum(led.regret[-1] for led in batch) / len(batch))
 
         label = _sanitize(entry.label)
         curve = aggregate_regret(ledgers)
-        _write_table(
-            out_dir,
+        exp.write_table(
             f"regret_curve_{label}",
-            spec.format,
             ["t", "mean_theoretical_regret", "mean_empirical_regret", "std"],
             zip(
                 (int(t) for t in curve.t),
@@ -186,58 +203,30 @@ def cmd_run(args) -> int:
                 (float(v) for v in curve.mean_regret_emp),
                 (float(v) for v in curve.std_regret),
             ),
-            meta,
         )
         cdf = sorted_reward_cdf(ledgers)
-        _write_table(
-            out_dir,
+        exp.write_table(
             f"sorted_rewards_{label}",
-            spec.format,
             ["rank", "mean_reward"],
             ((rank + 1, float(v)) for rank, v in enumerate(cdf)),
-            meta,
         )
         finals = sorted_final_regret(per_instance_final)
-        _write_table(
-            out_dir,
+        exp.write_table(
             f"sorted_final_regret_{label}",
-            spec.format,
             ["rank", "mean_final_regret"],
             ((rank + 1, float(v)) for rank, v in enumerate(finals)),
-            meta,
         )
         policy_stats[entry.label] = {
             "mean_final_regret": float(curve.mean_regret[-1]),
             "mean_final_regret_emp": float(curve.mean_regret_emp[-1]),
         }
-
-    _write_summary(
-        out_dir,
-        "summary.json",
-        {
-            "schema": JSON_SCHEMA,
-            "command": "run",
-            "seed": spec.seed,
-            "config": resolved_config_dict(spec, threads),
-            "policies": policy_stats,
-            "timing": {
-                "started_at": started,
-                "wall_seconds": round(time.perf_counter() - clock, 3),
-            },
-        },
-    )
+    exp.close("run", "summary.json", {"policies": policy_stats})
     return 0
 
 
 def cmd_sweep(args) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    clock = time.perf_counter()
-    spec = _apply_overrides(load_experiment_spec(args.spec), args)
-    threads = _resolve_threads(args.threads, spec.threads)
-    out_dir = Path(spec.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(spec, threads)
-
+    exp = _Experiment.open(args)
+    spec = exp.spec
     problem = build_problem(spec.problem, spec.seed, 0)
     cell_counts = {}
     for entry in spec.policies:
@@ -250,37 +239,19 @@ def cmd_sweep(args) -> int:
             n_runs=spec.runs,
         )
         grid = entry.sweep or {}
-        cells = sweep(base, grid, threads=threads)
+        cells = sweep(base, grid)
         param_names = list(grid)
-        _write_table(
-            out_dir,
+        exp.write_table(
             f"sweep_{_sanitize(entry.label)}",
-            spec.format,
             param_names + ["mean_final_regret", "mean_final_regret_emp", "std_final_regret"],
             (
                 [cell.params[n] for n in param_names]
                 + [cell.mean_final_regret, cell.mean_final_regret_emp, cell.std_final_regret]
                 for cell in cells
             ),
-            meta,
         )
         cell_counts[entry.label] = len(cells)
-
-    _write_summary(
-        out_dir,
-        "sweep_summary.json",
-        {
-            "schema": JSON_SCHEMA,
-            "command": "sweep",
-            "seed": spec.seed,
-            "config": resolved_config_dict(spec, threads),
-            "cells": cell_counts,
-            "timing": {
-                "started_at": started,
-                "wall_seconds": round(time.perf_counter() - clock, 3),
-            },
-        },
-    )
+    exp.close("sweep", "sweep_summary.json", {"cells": cell_counts})
     return 0
 
 
@@ -292,7 +263,6 @@ _BOUND_KEYS = {
     "t",
     "delta",
     "mean_gaps",
-    "epsilon",
     "n_optimal",
 }
 
@@ -318,11 +288,11 @@ def cmd_bound(args) -> int:
     for key in doc:
         if key not in _BOUND_KEYS:
             raise ConfigError(f"{args.inputs}: unknown key {key!r}")
-    if "mean_gaps" in doc:
-        if not isinstance(doc["mean_gaps"], list):
-            raise ConfigError(f"{args.inputs}: mean_gaps must be a list")
-        doc["mean_gaps"] = tuple(float(g) for g in doc["mean_gaps"])
+    if "mean_gaps" in doc and not isinstance(doc["mean_gaps"], list):
+        raise ConfigError(f"{args.inputs}: mean_gaps must be a list")
     try:
+        if "mean_gaps" in doc:
+            doc["mean_gaps"] = tuple(float(g) for g in doc["mean_gaps"])
         inputs = BoundInputs(**doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.inputs}: {exc}") from None
@@ -404,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="experiment spec (YAML)")
         p.add_argument("--out", help="output directory (overrides spec)")
         p.add_argument("--seed", type=int, help="master seed (overrides spec)")
-        p.add_argument("--threads", type=int, help="worker threads (overrides spec and env)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (overrides spec)")
 
     p_run = sub.add_parser("run", help="run all (policy, instance, run) cells of a spec")

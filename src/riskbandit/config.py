@@ -7,7 +7,6 @@ An experiment spec is a single YAML document::
     runs: 40              # required, episodes per (policy, instance)
     instances: 1          # optional, problem instances (default 1)
     out: results          # optional output directory (default "results")
-    threads: 4            # optional worker count (flag / env take precedence)
     format: csv           # optional, csv or json
     problem:
       generator: proof_of_concept   # or mixture, matrix, battery
@@ -53,7 +52,7 @@ from .generators import (
 from .policies import POLICY_KINDS, PolicyConfig, expexp_tau
 from .rng import PROBLEM_DOMAIN, substream, validate_seed
 
-_TOP_KEYS = {"seed", "horizon", "runs", "instances", "out", "threads", "format", "problem", "policies"}
+_TOP_KEYS = {"seed", "horizon", "runs", "instances", "out", "format", "problem", "policies"}
 
 # generator name -> {field: (type, required)}
 _GENERATOR_FIELDS = {
@@ -103,7 +102,6 @@ class ExperimentSpec:
     policies: list[PolicyEntry]
     instances: int = 1
     out: str = "results"
-    threads: Optional[int] = None
     format: str = "csv"
 
 
@@ -232,9 +230,6 @@ def parse_experiment_dict(doc: Any, source: str = "<spec>") -> ExperimentSpec:
     horizon = _get_int(doc, "horizon", "", 1)
     runs = _get_int(doc, "runs", "", 1)
     instances = _get_int(doc, "instances", "", 1, default=1)
-    threads = None
-    if doc.get("threads") is not None:
-        threads = _get_int(doc, "threads", "", 1)
 
     out = doc.get("out", "results")
     if not isinstance(out, str) or not out:
@@ -264,7 +259,6 @@ def parse_experiment_dict(doc: Any, source: str = "<spec>") -> ExperimentSpec:
         runs=runs,
         instances=instances,
         out=out,
-        threads=threads,
         format=fmt,
         problem=problem,
         policies=policies,
@@ -321,7 +315,7 @@ def resolve_policy(entry: PolicyEntry, k: int, horizon: int) -> PolicyConfig:
         raise ConfigError(f"policy {entry.label!r}: {exc}") from None
 
 
-def resolved_config_dict(spec: ExperimentSpec, threads: int) -> dict:
+def resolved_config_dict(spec: ExperimentSpec) -> dict:
     """Plain-dict echo of the fully resolved experiment, for provenance output."""
     return {
         "seed": spec.seed,
@@ -329,7 +323,6 @@ def resolved_config_dict(spec: ExperimentSpec, threads: int) -> dict:
         "runs": spec.runs,
         "instances": spec.instances,
         "out": spec.out,
-        "threads": threads,
         "format": spec.format,
         "problem": {"generator": spec.problem.generator, **spec.problem.params},
         "policies": [

@@ -6,8 +6,8 @@ reward an arm would yield on its ``u``-th pull is drawn up front into a
 :mod:`riskbandit.rng`), and the episode kernel consumes the table.  Two
 consequences worth relying on:
 
-* runs are reproducible bit for bit, whether executed serially or on a
-  thread pool, and adding runs never changes the draws of existing ones;
+* runs are reproducible bit for bit, and adding runs never changes the
+  draws of existing ones;
 * policies compared under the same ``(problem, seed)`` face identical reward
   tables, so policy differences are not confounded by sampling noise.
 
@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,18 +138,9 @@ def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
     )
 
 
-def run_many(cfg: RunConfig, threads: int = 1) -> list[RegretLedger]:
-    """All ``cfg.n_runs`` episodes, ordered by run index.
-
-    With ``threads > 1`` episodes run on a thread pool (the kernels drop the
-    GIL); results are still merged by run index, so the output is identical
-    to the serial one.
-    """
-    indices = range(cfg.n_runs)
-    if threads <= 1:
-        return [run_episode(cfg, r) for r in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: run_episode(cfg, r), indices))
+def run_many(cfg: RunConfig) -> list[RegretLedger]:
+    """All ``cfg.n_runs`` episodes, ordered by run index."""
+    return [run_episode(cfg, r) for r in range(cfg.n_runs)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +205,7 @@ class SweepCell:
     std_final_regret: float
 
 
-def sweep(base: RunConfig, grid: dict, threads: int = 1) -> list[SweepCell]:
+def sweep(base: RunConfig, grid: dict) -> list[SweepCell]:
     """Run the Cartesian product of ``grid`` overrides on ``base``.
 
     Keys must be field names of the policy config (unknown names are
@@ -235,8 +225,12 @@ def sweep(base: RunConfig, grid: dict, threads: int = 1) -> list[SweepCell]:
     cells = []
     for combo in combos:
         params = dict(zip(names, combo))
-        cfg = dataclasses.replace(base, policy=dataclasses.replace(base.policy, **params))
-        ledgers = run_many(cfg, threads=threads)
+        try:
+            policy = dataclasses.replace(base.policy, **params)
+        except ValueError as err:
+            raise ConfigError(f"sweep cell {params}: {err}") from None
+        cfg = dataclasses.replace(base, policy=policy)
+        ledgers = run_many(cfg)
         finals = np.array([led.regret[-1] for led in ledgers])
         finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
         cells.append(

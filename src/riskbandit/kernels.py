@@ -1,4 +1,4 @@
-"""Compiled episode loops.
+"""Array-indexed episode loops.
 
 Each kernel plays one full episode of one policy against a pre-drawn reward
 table ``rewards`` of shape ``(k, horizon)``: entry ``[i, u]`` is the reward
@@ -9,12 +9,15 @@ with a shared table directly comparable across policies.
 Kernels return ``(chosen, reward_seq)``: the 1-based round ``t`` pulled arm
 ``chosen[t-1]`` and observed ``reward_seq[t-1]``.
 
-The arithmetic here intentionally mirrors :mod:`riskbandit.estimators` and
-:mod:`riskbandit.policies` operation for operation (same summation order,
-same running-sum means, same guarded ceil), so a kernel episode reproduces
-the object-layer episode bit for bit.  Compilation is controlled by the
-``RISKBANDIT_JIT`` environment variable (see :mod:`riskbandit._jit`); the
-interpreted fallback runs the same source.
+Per-arm statistics live in length-``k`` arrays.  Each round computes every
+arm's index in one elementwise array expression and picks the arm with
+``np.argmax`` / ``np.argmin``, whose first-extremum rule is the lowest-index
+tie-break of :func:`riskbandit.policies.select_arm`.  The arithmetic mirrors
+:mod:`riskbandit.estimators` and :mod:`riskbandit.policies` operation for
+operation (same summation order, same running-sum means, same guarded ceil),
+and elementwise float64 operations round exactly as their scalar
+counterparts, so a kernel episode reproduces the object-layer episode bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,20 +26,25 @@ import math
 
 import numpy as np
 
-from ._jit import maybe_jit
 from ._util import CEIL_EPS
 
 
-@maybe_jit
 def _insert_sorted(buf, n, x):
     # insertion point after any equal values, like bisect.insort
     lo = np.searchsorted(buf[:n], x, side="right")
-    # the copy makes the overlapping shift safe under numba too
-    buf[lo + 1 : n + 1] = buf[lo:n].copy()
+    buf[lo + 1 : n + 1] = buf[lo:n]  # numpy buffers the overlapping shift
     buf[lo] = x
 
 
-@maybe_jit
+def _welford(counts, run_sum, m2, a, x):
+    # the ArmStats.update order: previous mean, sum, count, then the deviation
+    cnt = counts[a]
+    prev_mean = run_sum[a] / cnt if cnt > 0 else 0.0
+    run_sum[a] += x
+    counts[a] = cnt + 1
+    m2[a] += (x - prev_mean) * (x - run_sum[a] / (cnt + 1))
+
+
 def episode_ucb(rewards, c):
     k, horizon = rewards.shape
     chosen = np.empty(horizon, dtype=np.int64)
@@ -47,14 +55,7 @@ def episode_ucb(rewards, c):
         if t <= k:
             a = t - 1
         else:
-            log_t = math.log(t)
-            best = -math.inf
-            a = 0
-            for i in range(k):
-                idx = run_sum[i] / counts[i] + c * math.sqrt(log_t / counts[i])
-                if idx > best:
-                    best = idx
-                    a = i
+            a = np.argmax(run_sum / counts + c * np.sqrt(math.log(t) / counts))
         x = rewards[a, counts[a]]
         run_sum[a] += x
         counts[a] += 1
@@ -63,7 +64,6 @@ def episode_ucb(rewards, c):
     return chosen, reward_seq
 
 
-@maybe_jit
 def episode_min(rewards):
     k, horizon = rewards.shape
     chosen = np.empty(horizon, dtype=np.int64)
@@ -71,15 +71,7 @@ def episode_min(rewards):
     counts = np.zeros(k, dtype=np.int64)
     mins = np.full(k, 2.0)
     for t in range(1, horizon + 1):
-        if t <= k:
-            a = t - 1
-        else:
-            best = -math.inf
-            a = 0
-            for i in range(k):
-                if mins[i] > best:
-                    best = mins[i]
-                    a = i
+        a = t - 1 if t <= k else np.argmax(mins)
         x = rewards[a, counts[a]]
         if x < mins[a]:
             mins[a] = x
@@ -89,7 +81,6 @@ def episode_min(rewards):
     return chosen, reward_seq
 
 
-@maybe_jit
 def episode_marab(rewards, c, alpha):
     k, horizon = rewards.shape
     chosen = np.empty(horizon, dtype=np.int64)
@@ -104,18 +95,12 @@ def episode_marab(rewards, c, alpha):
         if t <= k:
             a = t - 1
         else:
-            tail_t = int(math.ceil(t * alpha - CEIL_EPS))
-            if tail_t < 1:
-                tail_t = 1
-            log_tail = math.log(tail_t)
-            # argmax keeps the first maximum: ties go to the lowest index
-            a = np.argmax(tail_mean - c * np.sqrt(log_tail / n_alpha))
+            tail_t = max(1, int(math.ceil(t * alpha - CEIL_EPS)))
+            a = np.argmax(tail_mean - c * np.sqrt(math.log(tail_t) / n_alpha))
         x = rewards[a, counts[a]]
         _insert_sorted(hist[a], counts[a], x)
         counts[a] += 1
-        na = int(math.ceil(alpha * counts[a] - CEIL_EPS))
-        if na < 1:
-            na = 1
+        na = max(1, int(math.ceil(alpha * counts[a] - CEIL_EPS)))
         n_alpha[a] = na
         # cumsum adds left to right, the order ArmStats.empirical_cvar uses
         tail_mean[a] = np.cumsum(hist[a, :na])[-1] / na
@@ -124,7 +109,6 @@ def episode_marab(rewards, c, alpha):
     return chosen, reward_seq
 
 
-@maybe_jit
 def episode_mvlcb(rewards, rho, delta):
     k, horizon = rewards.shape
     chosen = np.empty(horizon, dtype=np.int64)
@@ -137,29 +121,15 @@ def episode_mvlcb(rewards, rho, delta):
         if t <= k:
             a = t - 1
         else:
-            best = math.inf
-            a = 0
-            for i in range(k):
-                mean = run_sum[i] / counts[i]
-                var = m2[i] / counts[i]
-                width = (5.0 + rho) * math.sqrt(log_inv_delta / (2.0 * counts[i]))
-                idx = var - rho * mean - width
-                if idx < best:
-                    best = idx
-                    a = i
+            width = (5.0 + rho) * np.sqrt(log_inv_delta / (2.0 * counts))
+            a = np.argmin(m2 / counts - rho * (run_sum / counts) - width)
         x = rewards[a, counts[a]]
-        cnt = counts[a]
-        prev_mean = run_sum[a] / cnt if cnt > 0 else 0.0
-        run_sum[a] += x
-        cnt += 1
-        counts[a] = cnt
-        m2[a] += (x - prev_mean) * (x - run_sum[a] / cnt)
+        _welford(counts, run_sum, m2, a, x)
         chosen[t - 1] = a
         reward_seq[t - 1] = x
     return chosen, reward_seq
 
 
-@maybe_jit
 def episode_expexp(rewards, rho, tau):
     k, horizon = rewards.shape
     chosen = np.empty(horizon, dtype=np.int64)
@@ -167,33 +137,19 @@ def episode_expexp(rewards, rho, tau):
     counts = np.zeros(k, dtype=np.int64)
     run_sum = np.zeros(k, dtype=np.float64)
     m2 = np.zeros(k, dtype=np.float64)
-    frozen = -1
     for t in range(1, horizon + 1):
         if t <= tau:
             a = (t - 1) % k
+        elif counts.min() == 0:  # tau < k: finish initialisation first
+            a = np.argmin(counts)
         else:
-            a = -1
-            for i in range(k):  # guard against tau < k: finish initialisation first
-                if counts[i] == 0:
-                    a = i
-                    break
-            if a < 0:
-                if frozen < 0:
-                    best = math.inf
-                    frozen = 0
-                    for i in range(k):
-                        mv = m2[i] / counts[i] - rho * (run_sum[i] / counts[i])
-                        if mv < best:
-                            best = mv
-                            frozen = i
-                a = frozen
+            # commit for good: the rest of the episode is the arm's next pulls
+            a = np.argmin(m2 / counts - rho * (run_sum / counts))
+            chosen[t - 1 :] = a
+            reward_seq[t - 1 :] = rewards[a, counts[a] : counts[a] + horizon - t + 1]
+            break
         x = rewards[a, counts[a]]
-        cnt = counts[a]
-        prev_mean = run_sum[a] / cnt if cnt > 0 else 0.0
-        run_sum[a] += x
-        cnt += 1
-        counts[a] = cnt
-        m2[a] += (x - prev_mean) * (x - run_sum[a] / cnt)
+        _welford(counts, run_sum, m2, a, x)
         chosen[t - 1] = a
         reward_seq[t - 1] = x
     return chosen, reward_seq

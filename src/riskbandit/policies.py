@@ -36,8 +36,8 @@ class UCB:
     kind: ClassVar[str] = "ucb"
 
     def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class MaRaB:
     kind: ClassVar[str] = "marab"
 
     def __post_init__(self) -> None:
-        if self.c < 0.0:
-            raise ValueError(f"c must be non-negative, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be non-negative and finite, got {self.c}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
@@ -71,8 +71,8 @@ class MVLCB:
     kind: ClassVar[str] = "mvlcb"
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -86,8 +86,8 @@ class ExpExp:
     kind: ClassVar[str] = "expexp"
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not (isinstance(self.tau, int) and self.tau >= 1):
             raise ValueError(f"tau must be a positive integer, got {self.tau!r}")
 

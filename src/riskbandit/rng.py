@@ -1,8 +1,8 @@
 """Deterministic random number plumbing.
 
 Every random quantity in the package is drawn from a ``numpy.random.Generator``
-backed by PCG64.  Reproducibility across runs, thread counts, and process
-boundaries comes from *derived streams*: instead of sharing one generator, each
+backed by PCG64.  Reproducibility across runs and process boundaries comes
+from *derived streams*: instead of sharing one generator, each
 logical unit of work gets its own generator seeded by
 ``SeedSequence([seed, *path])``, where ``path`` is a tuple of non-negative
 integers identifying the unit.
@@ -15,8 +15,8 @@ The seeding layout used by the toolkit:
   ``substream(episode_seed, r, a)``
 
 Because streams are keyed by index rather than by draw order, adding runs or
-arms never perturbs the draws of existing ones, and executing runs in parallel
-yields bit-identical results to executing them serially.
+arms never perturbs the draws of existing ones, and the order in which runs
+execute cannot change any of them.
 """
 
 from __future__ import annotations

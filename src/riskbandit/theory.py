@@ -148,22 +148,25 @@ class BoundInputs:
     t: int
     delta: float
     mean_gaps: Optional[tuple[float, ...]] = None
-    epsilon: Optional[float] = None
     n_optimal: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("n_arms", "t", "n_optimal"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_arms < 1:
             raise ValueError(f"n_arms must be >= 1, got {self.n_arms}")
         if not self.density_floor > 0.0:
             raise ValueError(f"density_floor must be positive, got {self.density_floor}")
         if self.max_mean_gap < 0.0:
             raise ValueError(f"max_mean_gap must be non-negative, got {self.max_mean_gap}")
+        if not self.min_infimum_gap > 0.0:
+            raise ValueError(f"min_infimum_gap must be positive, got {self.min_infimum_gap}")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 1 <= self.n_optimal <= self.n_arms:
             raise ValueError(
                 f"n_optimal must be in [1, {self.n_arms}], got {self.n_optimal}"
@@ -201,13 +204,6 @@ class BoundResult:
     note: Optional[str] = None
 
 
-def _require_infimum_gap(inputs: BoundInputs) -> None:
-    if not inputs.min_infimum_gap > 0.0:
-        raise ValueError(
-            f"min_infimum_gap must be positive, got {inputs.min_infimum_gap}"
-        )
-
-
 def min_regret_bound(inputs: BoundInputs) -> BoundResult:
     """General regret bound for the max-min policy.
 
@@ -222,7 +218,6 @@ def min_regret_bound(inputs: BoundInputs) -> BoundResult:
     m = inputs.n_arms - inputs.n_optimal
     if m == 0:
         return BoundResult(high_prob=0.0, expectation=0.0)
-    _require_infimum_gap(inputs)
     if inputs.max_mean_gap == 0.0:
         # every arm is mean-optimal: nothing to regret
         return BoundResult(high_prob=0.0, expectation=0.0)
@@ -261,7 +256,6 @@ def min_regret_bound_aligned(inputs: BoundInputs) -> BoundResult:
     m = inputs.n_arms - inputs.n_optimal
     if m == 0:
         return BoundResult(high_prob=0.0, expectation=0.0)
-    _require_infimum_gap(inputs)
     a_floor = inputs.density_floor
     high = (m / a_floor) * math.log(
         inputs.t * inputs.n_arms / inputs.delta

@@ -2,27 +2,11 @@ import numpy as np
 import pytest
 
 import riskbandit as rb
-from riskbandit.harness import draw_reward_table, _play
 
 
 @pytest.fixture(scope="session")
 def poc_problem():
     return rb.gen_proof_of_concept()
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Compile every episode kernel once so timed tests measure steady state."""
-    problem = rb.gen_proof_of_concept(k=3)
-    table = draw_reward_table(problem, seed=0, run_index=0, horizon=10)
-    for policy in (
-        rb.UCB(c=0.001),
-        rb.MIN(),
-        rb.MaRaB(c=0.001, alpha=0.2),
-        rb.MVLCB(rho=1.0, delta=0.01),
-        rb.ExpExp(rho=1.0, tau=3),
-    ):
-        _play(table, policy)
 
 
 def random_stats(rng: np.random.Generator, max_size: int = 50) -> rb.ArmStats:

@@ -2,7 +2,7 @@
 
 Every test prints one ``[criterion NN] PASS`` line (visible under ``-s``;
 pytest's own verbose listing gives the pass/fail line otherwise) and asserts
-its runtime budget.  Budgets assume warm kernels, hence the fixture.
+its runtime budget.
 """
 
 import time
@@ -45,7 +45,7 @@ def _report(number: int, detail: str, started: float, budget: float) -> None:
 
 
 class TestAcceptance:
-    def test_criterion_01_tiny_tail_reduces_to_min(self, warm_kernels):
+    def test_criterion_01_tiny_tail_reduces_to_min(self):
         started = time.perf_counter()
         rng = np.random.default_rng(101)
         for _ in range(100):
@@ -88,7 +88,7 @@ class TestAcceptance:
         assert res.passed
         _report(4, f"empirical {res.empirical_prob:.4f} <= {res.bound:.4f}", started, 5.0)
 
-    def test_criterion_05_min_policy_regret_plateaus(self, poc_problem, warm_kernels):
+    def test_criterion_05_min_policy_regret_plateaus(self, poc_problem):
         started = time.perf_counter()
         cfg = RunConfig(problem=poc_problem, policy=MIN(), horizon=2000, seed=1, n_runs=40)
         curve = aggregate_regret(run_many(cfg))
@@ -96,7 +96,7 @@ class TestAcceptance:
         assert r2000 - r500 <= 0.01 * r500 + 1.0
         _report(5, f"R500={r500:.3f}, R2000={r2000:.3f}", started, 30.0)
 
-    def test_criterion_06_marab_exploration_weight_insensitive(self, poc_problem, warm_kernels):
+    def test_criterion_06_marab_exploration_weight_insensitive(self, poc_problem):
         started = time.perf_counter()
         base = RunConfig(
             problem=poc_problem,
@@ -120,7 +120,7 @@ class TestAcceptance:
         detail = ", ".join(f"alpha={a}: x{s:.2f}" for a, s in sorted(spreads.items()))
         _report(6, detail, started, 300.0)
 
-    def test_criterion_07_ucb_regret_grows_logarithmically(self, warm_kernels):
+    def test_criterion_07_ucb_regret_grows_logarithmically(self):
         started = time.perf_counter()
         master = 7
         ledgers = []
@@ -175,7 +175,7 @@ class TestAcceptance:
             assert general <= aligned + 1e-12
         _report(8, "golden 8.394, 1000 bound orderings", started, 1.0)
 
-    def test_criterion_09_observed_min_regret_below_bound(self, warm_kernels):
+    def test_criterion_09_observed_min_regret_below_bound(self):
         started = time.perf_counter()
         param_rng = make_rng(109)
         horizon = 2000
@@ -193,7 +193,7 @@ class TestAcceptance:
             assert observed <= bound
         _report(9, "20 problems, observed <= expectation bound", started, 120.0)
 
-    def test_criterion_10_rerun_and_thread_count_determinism(self, tmp_path, warm_kernels):
+    def test_criterion_10_rerun_and_thread_count_determinism(self, tmp_path):
         started = time.perf_counter()
         spec = tmp_path / "exp.yaml"
         spec.write_text(
@@ -208,16 +208,11 @@ class TestAcceptance:
             "  - {policy: min}\n"
             "  - {policy: expexp}\n"
         )
-        outs = {name: tmp_path / name for name in ("first", "again", "pool")}
-        for name, threads in (("first", 1), ("again", 1), ("pool", 8)):
-            code = main(
-                ["run", "--spec", str(spec), "--out", str(outs[name]), "--threads", str(threads)]
-            )
-            assert code == 0
-        csvs = sorted(p.name for p in outs["first"].glob("*.csv"))
+        first, again = tmp_path / "first", tmp_path / "again"
+        for out in (first, again):
+            assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
+        csvs = sorted(p.name for p in first.glob("*.csv"))
         assert len(csvs) == 12  # 4 policies x 3 tables
         for name in csvs:
-            reference = (outs["first"] / name).read_bytes()
-            assert (outs["again"] / name).read_bytes() == reference
-            assert (outs["pool"] / name).read_bytes() == reference
-        _report(10, "12 files byte-identical across rerun and pool", started, 120.0)
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        _report(10, "12 files byte-identical across reruns", started, 120.0)

@@ -48,7 +48,7 @@ def read_csv(path):
 
 
 class TestRun:
-    def test_outputs_and_schema(self, spec_file, tmp_path, capsys, warm_kernels):
+    def test_outputs_and_schema(self, spec_file, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
         for label in ("ucb", "min"):
@@ -77,9 +77,9 @@ class TestRun:
         printed = capsys.readouterr().out
         assert printed.count("wrote ") == 7
 
-    def test_summary_contents(self, spec_file, tmp_path, warm_kernels):
+    def test_summary_contents(self, spec_file, tmp_path):
         out = tmp_path / "results"
-        main(["run", "--spec", str(spec_file), "--out", str(out), "--threads", "1"])
+        main(["run", "--spec", str(spec_file), "--out", str(out)])
         doc = json.loads((out / "summary.json").read_text())
         assert doc["schema"] == "riskbandit-json 1"
         assert doc["command"] == "run"
@@ -92,10 +92,10 @@ class TestRun:
             assert isinstance(stats["mean_final_regret_emp"], float)
         assert set(doc["timing"]) == {"started_at", "wall_seconds"}
 
-    def test_rerun_byte_identical(self, spec_file, tmp_path, warm_kernels):
+    def test_rerun_byte_identical(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["run", "--spec", str(spec_file), "--out", str(out1), "--threads", "1"])
-        main(["run", "--spec", str(spec_file), "--out", str(out2), "--threads", "1"])
+        main(["run", "--spec", str(spec_file), "--out", str(out1)])
+        main(["run", "--spec", str(spec_file), "--out", str(out2)])
         for name in ("regret_curve_ucb.csv", "sorted_rewards_min.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         a = json.loads((out1 / "summary.json").read_text())
@@ -106,7 +106,7 @@ class TestRun:
             k: v for k, v in b["config"].items() if k != "out"
         }
 
-    def test_seed_override_changes_results(self, spec_file, tmp_path, warm_kernels):
+    def test_seed_override_changes_results(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["run", "--spec", str(spec_file), "--out", str(out1)])
         main(["run", "--spec", str(spec_file), "--out", str(out2), "--seed", "8"])
@@ -115,7 +115,7 @@ class TestRun:
         ).read_bytes()
         assert "# seed=8" in (out2 / "regret_curve_ucb.csv").read_text()
 
-    def test_json_format(self, spec_file, tmp_path, warm_kernels):
+    def test_json_format(self, spec_file, tmp_path):
         out = tmp_path / "results"
         main(["run", "--spec", str(spec_file), "--out", str(out), "--format", "json"])
         doc = json.loads((out / "regret_curve_ucb.json").read_text())
@@ -138,6 +138,14 @@ class TestRun:
         assert main(["run", "--spec", str(spec_file), "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_nan_policy_parameter_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(SPEC_TEXT.replace("- policy: min", "- {policy: marab, c: .nan}"))
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy 'marab': c must be non-negative and finite")
+        assert len(err.splitlines()) == 1
+
     def test_unwritable_out_exit_2(self, spec_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
@@ -146,32 +154,8 @@ class TestRun:
         assert "runtime error" in capsys.readouterr().err
 
 
-class TestThreadResolution:
-    def test_env_fallback(self, spec_file, tmp_path, monkeypatch, warm_kernels):
-        monkeypatch.setenv("RISKBANDIT_THREADS", "2")
-        out = tmp_path / "results"
-        main(["run", "--spec", str(spec_file), "--out", str(out)])
-        doc = json.loads((out / "summary.json").read_text())
-        assert doc["config"]["threads"] == 2
-
-    def test_flag_beats_env(self, spec_file, tmp_path, monkeypatch, warm_kernels):
-        monkeypatch.setenv("RISKBANDIT_THREADS", "2")
-        out = tmp_path / "results"
-        main(["run", "--spec", str(spec_file), "--out", str(out), "--threads", "3"])
-        doc = json.loads((out / "summary.json").read_text())
-        assert doc["config"]["threads"] == 3
-
-    def test_invalid_env_exit_1(self, spec_file, monkeypatch, capsys):
-        monkeypatch.setenv("RISKBANDIT_THREADS", "lots")
-        assert main(["run", "--spec", str(spec_file)]) == 1
-        assert "RISKBANDIT_THREADS" in capsys.readouterr().err
-
-    def test_zero_threads_exit_1(self, spec_file, capsys):
-        assert main(["run", "--spec", str(spec_file), "--threads", "0"]) == 1
-
-
 class TestSweep:
-    def test_grid_and_base_cells(self, tmp_path, warm_kernels):
+    def test_grid_and_base_cells(self, tmp_path):
         path = tmp_path / "sweep.yaml"
         path.write_text(SWEEP_TEXT)
         out = tmp_path / "results"
@@ -189,6 +173,13 @@ class TestSweep:
         doc = json.loads((out / "sweep_summary.json").read_text())
         assert doc["command"] == "sweep"
         assert doc["cells"] == {"marab": 4, "min": 1}
+        assert doc["config"]["threads"] == 1
+
+    def test_invalid_grid_value_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(SWEEP_TEXT.replace("c: [1.0e-3, 1.0]", "c: [1.0e-3, .inf]"))
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "c must be non-negative and finite" in capsys.readouterr().err
 
 
 class TestBound:
@@ -248,6 +239,24 @@ class TestBound:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["bound", "--inputs", str(tmp_path / "none.json")]) == 1
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"mean_gaps": [None]}, "float() argument"),
+            ({"t": 100.5}, "t must be an integer"),
+            ({"n_arms": "2"}, "n_arms must be an integer"),
+            ({"min_infimum_gap": 0.0}, "min_infimum_gap must be positive"),
+            ({"epsilon": 0.1}, "unknown key 'epsilon'"),
+        ],
+        ids=["null_gap", "fractional_t", "string_n_arms", "zero_infimum_gap", "epsilon"],
+    )
+    def test_bad_input_one_line_exit_1(self, tmp_path, capsys, override, message):
+        path = self._write(tmp_path, {**self.GOLDEN, **override})
+        assert main(["bound", "--inputs", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCheckLemma:

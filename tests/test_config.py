@@ -31,7 +31,6 @@ class TestParseExperimentDict:
         assert spec.runs == 4
         assert spec.instances == 1
         assert spec.out == "results"
-        assert spec.threads is None
         assert spec.format == "csv"
         assert spec.problem.generator == "proof_of_concept"
         assert spec.problem.params == {"k": 5}
@@ -58,8 +57,8 @@ class TestParseExperimentDict:
             parse_experiment_dict(minimal_doc(horizon=True))
         with pytest.raises(ConfigError, match="runs: must be >= 1"):
             parse_experiment_dict(minimal_doc(runs=0))
-        with pytest.raises(ConfigError, match="threads: must be >= 1"):
-            parse_experiment_dict(minimal_doc(threads=0))
+        with pytest.raises(ConfigError, match="threads: unknown key"):
+            parse_experiment_dict({**minimal_doc(), "threads": 1})
         with pytest.raises(ConfigError, match="format: expected csv or json"):
             parse_experiment_dict(minimal_doc(format="xml"))
         with pytest.raises(ConfigError, match="out: expected a non-empty string"):
@@ -248,9 +247,9 @@ class TestResolvedConfigDict:
         spec = parse_experiment_dict(
             minimal_doc(policies=[{"policy": "marab", "sweep": {"c": [0.1]}}])
         )
-        doc = resolved_config_dict(spec, threads=2)
+        doc = resolved_config_dict(spec)
         assert doc["seed"] == 7
-        assert doc["threads"] == 2
+        assert "threads" not in doc
         assert doc["problem"] == {"generator": "proof_of_concept", "k": 5}
         assert doc["policies"] == [
             {"policy": "marab", "label": "marab", "c": 0.001, "alpha": 0.2, "sweep": {"c": [0.1]}}

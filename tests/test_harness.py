@@ -21,7 +21,7 @@ from riskbandit.harness import draw_reward_table
 
 
 @pytest.fixture(scope="module")
-def small_cfg(warm_kernels):
+def small_cfg():
     problem = gen_proof_of_concept(k=4, r_max=0.3)
     return RunConfig(problem=problem, policy=UCB(c=0.001), horizon=200, seed=11, n_runs=6)
 
@@ -88,7 +88,7 @@ class TestRunEpisode:
         assert np.all(np.diff(led.regret) >= 0)
         assert led.regret[0] == 0.0  # init pass starts on the best arm
 
-    def test_identical_arms_zero_regret(self, warm_kernels):
+    def test_identical_arms_zero_regret(self):
         problem = gen_from_matrix([[0.4, 0.6], [0.4, 0.6], [0.4, 0.6]])
         cfg = RunConfig(problem=problem, policy=UCB(c=0.1), horizon=150, seed=3, n_runs=1)
         led = run_episode(cfg, 0)
@@ -105,7 +105,7 @@ class TestRunEpisode:
 
 
 class TestRoundRobinClosedForm:
-    def test_linear_regret_of_pure_alternation(self, warm_kernels):
+    def test_linear_regret_of_pure_alternation(self):
         # two deterministic arms, tau = horizon: strict alternation pulls the
         # worse arm exactly half the rounds, each pull costing its mean gap
         problem = gen_from_matrix([[0.5], [0.4]])
@@ -124,15 +124,6 @@ class TestRoundRobinClosedForm:
 
 
 class TestRunMany:
-    def test_threaded_matches_serial(self, small_cfg):
-        serial = run_many(small_cfg, threads=1)
-        pooled = run_many(small_cfg, threads=4)
-        assert len(serial) == len(pooled) == small_cfg.n_runs
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.chosen, b.chosen)
-            assert np.array_equal(a.rewards, b.rewards)
-            assert np.array_equal(a.regret, b.regret)
-
     def test_adding_runs_keeps_existing(self, small_cfg):
         import dataclasses
 

@@ -2,6 +2,7 @@ import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbandit import (
     ArmStats,
@@ -62,7 +63,7 @@ def tables(poc_problem):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: repr(p))
-    def test_bit_exact_against_object_layer(self, policy, tables, warm_kernels):
+    def test_bit_exact_against_object_layer(self, policy, tables):
         for table in tables:
             want_chosen, want_rewards = reference_episode(table, policy)
             got_chosen, got_rewards = _play(table, policy)
@@ -70,7 +71,7 @@ class TestKernelEquivalence:
             assert np.array_equal(got_rewards, want_rewards)
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: repr(p))
-    def test_output_contract(self, policy, tables, warm_kernels):
+    def test_output_contract(self, policy, tables):
         table = tables[0]
         k, horizon = table.shape
         chosen, reward_seq = _play(table, policy)
@@ -87,8 +88,44 @@ class TestKernelEquivalence:
         assert counts.sum() == horizon
 
 
+@st.composite
+def tied_tables(draw):
+    """A ``(k, horizon)`` table over a few repeated values, so ties occur."""
+    k = draw(st.integers(2, 6))
+    horizon = draw(st.integers(k, 120))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.choice(np.array(pool), size=(k, horizon))
+
+
+_weight = st.floats(0.0, 10.0)
+_positive = st.floats(0.0, 10.0, exclude_min=True)
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+POLICY_STRATEGIES = {
+    "ucb": st.builds(UCB, c=_positive),
+    "min": st.just(MIN()),
+    "marab": st.builds(MaRaB, c=_weight, alpha=_unit),
+    "mvlcb": st.builds(MVLCB, rho=_positive, delta=_unit),
+    "expexp": st.builds(ExpExp, rho=_positive, tau=st.integers(1, 130)),
+}
+
+
+class TestKernelProperties:
+    @pytest.mark.parametrize("kind", sorted(POLICY_STRATEGIES))
+    def test_kernel_equals_object_layer(self, kind):
+        @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @given(table=tied_tables(), policy=POLICY_STRATEGIES[kind])
+        def check(table, policy):
+            want_chosen, want_rewards = reference_episode(table, policy)
+            got_chosen, got_rewards = _play(table, policy)
+            assert np.array_equal(got_chosen, want_chosen)
+            assert np.array_equal(got_rewards, want_rewards)
+
+        check()
+
+
 class TestKernelBehaviour:
-    def test_init_pass_round_robin(self, tables, warm_kernels):
+    def test_init_pass_round_robin(self, tables):
         table = tables[0]
         k = table.shape[0]
         for episode in (
@@ -102,7 +139,7 @@ class TestKernelBehaviour:
 
     @pytest.mark.parametrize("c", [0.0, 0.5])
     @pytest.mark.parametrize("alpha", [0.001, 0.1])
-    def test_marab_ties_bit_exact(self, alpha, c, warm_kernels):
+    def test_marab_ties_bit_exact(self, alpha, c):
         # few distinct rewards: equal values meet in the sorted insertion and
         # arms with equal tails tie in the index (ties go to the lowest index);
         # alpha=0.001 keeps n_alpha at 1, alpha=0.1 lets it grow
@@ -113,20 +150,20 @@ class TestKernelBehaviour:
         assert np.array_equal(got_chosen, want_chosen)
         assert np.array_equal(got_rewards, want_rewards)
 
-    def test_marab_tiny_alpha_equals_min(self, tables, warm_kernels):
+    def test_marab_tiny_alpha_equals_min(self, tables):
         for table in tables:
             chosen_min, _ = episode_min(table)
             chosen_marab, _ = episode_marab(table, 0.0, 1e-4)
             assert np.array_equal(chosen_marab, chosen_min)
 
-    def test_expexp_tau_below_k_still_initialises(self, warm_kernels):
+    def test_expexp_tau_below_k_still_initialises(self):
         rng = np.random.default_rng(1)
         table = rng.random((5, 60))
         chosen, _ = episode_expexp(table, 1.0, 2)
         assert sorted(chosen[:5]) == [0, 1, 2, 3, 4]
         assert len(set(chosen[5:])) == 1
 
-    def test_expexp_commits_after_tau(self, warm_kernels):
+    def test_expexp_commits_after_tau(self):
         rng = np.random.default_rng(2)
         table = rng.random((3, 90))
         tau = 30

@@ -54,6 +54,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExpExp(rho=1.0, tau=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: UCB(c=v),
+            lambda v: MaRaB(c=v, alpha=0.2),
+            lambda v: MVLCB(rho=v, delta=0.5),
+            lambda v: ExpExp(rho=v, tau=5),
+        ],
+        ids=["ucb.c", "marab.c", "mvlcb.rho", "expexp.rho"],
+    )
+    def test_non_finite_rejected(self, make, bad):
+        # a NaN index would be picked by np.argmax/np.argmin in the kernels but
+        # never by select_arm's strict comparisons
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
     def test_kinds(self):
         assert UCB.kind == "ucb"
         assert MIN.kind == "min"

@@ -238,18 +238,25 @@ class TestBoundInputs:
         ]:
             with pytest.raises(ValueError):
                 BoundInputs(**{**good, key: bad})
-        with pytest.raises(ValueError, match="epsilon"):
-            BoundInputs(**good, epsilon=0.0)
 
-    def test_negative_infimum_gap_rejected_at_evaluation(self):
-        inputs = BoundInputs(
-            n_arms=2, density_floor=1.0, max_mean_gap=0.1, min_infimum_gap=0.0,
+    @pytest.mark.parametrize("key", ["n_arms", "t", "n_optimal"])
+    @pytest.mark.parametrize("bad", [2.0, 100.5, "2", True])
+    def test_counts_must_be_integers(self, key, bad):
+        good = dict(
+            n_arms=2, density_floor=1.0, max_mean_gap=0.1, min_infimum_gap=0.1,
             t=10, delta=0.1,
         )
-        with pytest.raises(ValueError, match="min_infimum_gap"):
-            min_regret_bound(inputs)
-        with pytest.raises(ValueError, match="min_infimum_gap"):
-            min_regret_bound_aligned(inputs)
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            BoundInputs(**{**good, key: bad})
+
+    def test_nonpositive_infimum_gap_rejected(self):
+        # rejected on construction, so no evaluator ever divides by the gap
+        for gap in (0.0, -0.1):
+            with pytest.raises(ValueError, match="min_infimum_gap must be positive"):
+                BoundInputs(
+                    n_arms=2, density_floor=1.0, max_mean_gap=0.1, min_infimum_gap=gap,
+                    t=10, delta=0.1,
+                )
 
     def test_from_problem(self, poc_problem):
         inputs = BoundInputs.from_problem(poc_problem, t=500, delta=0.01)
