@@ -174,20 +174,27 @@ class _Experiment:
 def cmd_run(args) -> int:
     exp = _Experiment.open(args)
     spec = exp.spec
-    policy_stats = {}
-    for entry in spec.policies:
-        ledgers = []
-        per_instance_final = []
-        for inst in range(spec.instances):
-            problem = build_problem(spec.problem, spec.seed, inst)
-            policy = resolve_policy(entry, problem.k, spec.horizon)
-            cfg = RunConfig(
+    problems = [build_problem(spec.problem, spec.seed, inst) for inst in range(spec.instances)]
+    # every (policy, instance) batch is validated before the first one runs,
+    # so a bad policy parameter leaves no partial output behind
+    batches = [
+        [
+            RunConfig(
                 problem=problem,
-                policy=policy,
+                policy=resolve_policy(entry, problem.k, spec.horizon),
                 horizon=spec.horizon,
                 seed=derive_seed(spec.seed, EPISODE_DOMAIN, inst),
                 n_runs=spec.runs,
             )
+            for inst, problem in enumerate(problems)
+        ]
+        for entry in spec.policies
+    ]
+    policy_stats = {}
+    for entry, configs in zip(spec.policies, batches):
+        ledgers = []
+        per_instance_final = []
+        for cfg in configs:
             batch = run_many(cfg)
             ledgers.extend(batch)
             per_instance_final.append(sum(led.regret[-1] for led in batch) / len(batch))

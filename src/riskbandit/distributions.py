@@ -5,19 +5,19 @@ Three arm families are supported:
 * :class:`UniformSegment` -- uniform on ``[center - radius, center + radius]``,
   with closed-form mean, quantiles, and tail means.
 * :class:`TruncatedGaussianMixture` -- a Gaussian mixture conditioned on the
-  interval ``[floor, 1]`` by rejection.  Tail statistics have no convenient
-  closed form here, so they are read off a large cached Monte Carlo sample
-  drawn with a fixed internal seed (see :data:`MC_ORACLE_DRAWS`).
+  interval ``[floor, 1]`` by rejection.  Its mean and tail means are exact,
+  from each component's normal mass and partial expectation (the truncated
+  normal formulas); its quantiles come from bisection on the same mass.
 * :class:`EmpiricalResample` -- uniform resampling with replacement from a
   fixed list of observed values; statistics are exact functions of the list.
 
-All specs are frozen (hashable) dataclasses, which is what lets the Monte
-Carlo oracle be memoised per distinct spec.
+All specs are frozen (hashable) dataclasses.
 
 For a spec with distribution function F, the lower quantile at level
 ``alpha`` is ``inf{x : F(x) >= alpha}`` and the tail mean at level ``alpha``
-is the expectation conditioned on outcomes at or below that quantile.  On a
-finite sample of size n both reduce to order statistics: the quantile is the
+is the expectation conditioned on outcomes at or below that quantile (for a
+continuous F, the CVaR of Rockafellar & Uryasev, 2000).  On a finite sample
+of size n both reduce to order statistics: the quantile is the
 ``ceil(alpha * n)``-th smallest value and the tail mean averages the lowest
 ``ceil(alpha * n)`` values.
 """
@@ -25,20 +25,15 @@ finite sample of size n both reduce to order statistics: the quantile is the
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from ._util import ceil_int
 from .exceptions import DegenerateMixtureError
-from .rng import make_rng
 
-# Size and seed of the Monte Carlo sample backing mixture tail statistics.
-# One sample per distinct spec, sorted and cached.
-MC_ORACLE_DRAWS = 1_000_000
-MC_ORACLE_SEED = 0x0DDB1A5E5
 # Rejection sampling aborts after this many consecutive attempts without a
 # single accepted draw.
 REJECTION_CAP = 1_000_000
@@ -198,23 +193,46 @@ def _sample_mixture(spec: TruncatedGaussianMixture, rng: np.random.Generator, n:
 
 
 # ---------------------------------------------------------------------------
-# analytic / oracle statistics
+# analytic statistics
 
 
-@lru_cache(maxsize=32)
-def _oracle_sorted(spec: TruncatedGaussianMixture) -> np.ndarray:
-    """Sorted Monte Carlo sample backing mixture tail statistics."""
-    draws = _sample_mixture(spec, make_rng(MC_ORACLE_SEED), MC_ORACLE_DRAWS)
-    draws.sort()
-    draws.flags.writeable = False
-    return draws
+def _mixture_partial(spec: TruncatedGaussianMixture, x: float) -> tuple[float, float]:
+    """Untruncated mass and first moment of the mixture on ``[floor, x]``.
+
+    Component ``(w, m, s)`` contributes ``w (Phi(b) - Phi(a))`` to the mass
+    and ``w (m (Phi(b) - Phi(a)) + s (phi(a) - phi(b)))`` to the first
+    moment, with ``a = (floor - m) / s`` and ``b = (x - m) / s``.
+    """
+    mass = 0.0
+    first = 0.0
+    for w, m, s in zip(spec.weights, spec.means, spec.stds):
+        a = (spec.floor - m) / s
+        b = (x - m) / s
+        p = 0.5 * (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0)))
+        dens = (math.exp(-0.5 * a * a) - math.exp(-0.5 * b * b)) / math.sqrt(2.0 * math.pi)
+        mass += w * p
+        first += w * (m * p + s * dens)
+    return mass, first
 
 
-@lru_cache(maxsize=256)
-def _sorted_values(spec: EmpiricalResample) -> np.ndarray:
-    vals = np.sort(np.asarray(spec.values, dtype=np.float64))
-    vals.flags.writeable = False
-    return vals
+def _mixture_quantile(spec: TruncatedGaussianMixture, alpha: float) -> float:
+    """Smallest ``x`` with ``mass(x) >= alpha * mass(1)``, by bisection to adjacent floats."""
+    total = _mixture_partial(spec, 1.0)[0]
+    if not total > 0.0:
+        raise DegenerateMixtureError(f"mixture puts no mass on [{spec.floor}, 1]")
+    if alpha == 1.0:
+        # the top of the support; rounding in the mass could stop a search short of it
+        return 1.0
+    target = alpha * total
+    lo, hi = spec.floor, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _mixture_partial(spec, mid)[0] >= target:
+            hi = mid
+        else:
+            lo = mid
 
 
 def _check_alpha(alpha: float) -> None:
@@ -227,13 +245,17 @@ def _tail_rank(alpha: float, n: int) -> int:
 
 
 def analytic_mean(spec: ArmSpec) -> float:
-    """Expected reward of ``spec`` (Monte Carlo oracle for mixtures)."""
+    """Expected reward of ``spec``, exact for every family.
+
+    Raises :class:`DegenerateMixtureError` for a mixture with no mass on
+    ``[floor, 1]``.
+    """
     if isinstance(spec, UniformSegment):
         return spec.center
     if isinstance(spec, EmpiricalResample):
         return float(np.mean(spec.values))
     if isinstance(spec, TruncatedGaussianMixture):
-        return float(np.mean(_oracle_sorted(spec)))
+        return analytic_cvar(spec, 1.0)  # the tail that is the whole window [floor, 1]
     raise TypeError(f"unknown arm spec type: {type(spec).__name__}")
 
 
@@ -254,31 +276,37 @@ def quantile_value(spec: ArmSpec, alpha: float) -> float:
     if isinstance(spec, UniformSegment):
         return spec.low + alpha * 2.0 * spec.radius
     if isinstance(spec, EmpiricalResample):
-        vals = _sorted_values(spec)
+        vals = sorted(spec.values)
         return float(vals[_tail_rank(alpha, len(vals)) - 1])
     if isinstance(spec, TruncatedGaussianMixture):
-        draws = _oracle_sorted(spec)
-        return float(draws[_tail_rank(alpha, len(draws)) - 1])
+        return _mixture_quantile(spec, alpha)
     raise TypeError(f"unknown arm spec type: {type(spec).__name__}")
 
 
 def analytic_cvar(spec: ArmSpec, alpha: float) -> float:
     """Mean reward conditioned on the lower ``alpha`` tail.
 
-    Closed form for uniform segments; for finite samples (empirical specs and
-    the mixture oracle) the average of the lowest ``ceil(alpha * n)`` values.
-    At ``alpha = 1`` this is the plain mean.
+    Closed form for uniform segments and mixtures (the mixture's first
+    moment over its mass on ``[floor, quantile_value(spec, alpha)]``, to an
+    absolute error of about ``1e-17 / alpha``); for empirical specs the
+    average of the lowest ``ceil(alpha * n)`` values.  At ``alpha = 1`` this
+    is the plain mean, bit for bit for mixtures.
     """
     _check_alpha(alpha)
     if isinstance(spec, UniformSegment):
         # mean of a uniform on [low, low + alpha * 2r]
         return spec.low + alpha * spec.radius
     if isinstance(spec, EmpiricalResample):
-        vals = _sorted_values(spec)
+        vals = np.sort(np.asarray(spec.values, dtype=np.float64))
         return float(np.mean(vals[: _tail_rank(alpha, len(vals))]))
     if isinstance(spec, TruncatedGaussianMixture):
-        draws = _oracle_sorted(spec)
-        return float(np.mean(draws[: _tail_rank(alpha, len(draws))]))
+        q = _mixture_quantile(spec, alpha)
+        mass, first = _mixture_partial(spec, q)
+        if not mass > 0.0:  # alpha * mass(1) underflowed; the limit is the floor
+            return spec.floor
+        # the ratio carries a rounding error of about 1e-17 / alpha, from the
+        # differences of erf and exp values; the exact tail mean is in [floor, q]
+        return min(max(first / mass, spec.floor), q)
     raise TypeError(f"unknown arm spec type: {type(spec).__name__}")
 
 

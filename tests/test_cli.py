@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import riskbandit.cli as cli
 from riskbandit.cli import main
 
 SPEC_TEXT = """\
@@ -145,6 +146,31 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: policy 'marab': c must be non-negative and finite")
         assert len(err.splitlines()) == 1
+        # the bad second policy is caught before the first one runs
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_expexp_tau_below_k_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "tau.yaml"
+        path.write_text(SPEC_TEXT.replace("- policy: min", "- {policy: expexp, rho: 1.0, tau: 2}"))
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau=2 cannot cover one pull of each of 3 arms")
+        assert len(err.splitlines()) == 1
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_each_instance_built_once(self, tmp_path, monkeypatch):
+        built = []
+        real_build = cli.build_problem
+
+        def counting_build(problem, seed, instance):
+            built.append(instance)
+            return real_build(problem, seed, instance)
+
+        monkeypatch.setattr(cli, "build_problem", counting_build)
+        path = tmp_path / "exp.yaml"
+        path.write_text(SPEC_TEXT + "instances: 3\n")  # two policies
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert built == [0, 1, 2]
 
     def test_unwritable_out_exit_2(self, spec_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"

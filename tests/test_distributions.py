@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbandit import (
+    BanditProblem,
     DegenerateMixtureError,
     EmpiricalResample,
     TruncatedGaussianMixture,
@@ -121,6 +123,27 @@ def _truncated_mixture_mean(mix):
     return num / den
 
 
+def _truncated_mixture_cdf(mix, x):
+    """Independent distribution function of the mixture conditioned on [floor, 1]."""
+    below = 0.0
+    total = 0.0
+    for w, mu, sd in zip(mix.weights, mix.means, mix.stds):
+        lo = _cdf((mix.floor - mu) / sd)
+        below += w * (_cdf((x - mu) / sd) - lo)
+        total += w * (_cdf((1.0 - mu) / sd) - lo)
+    return below / total
+
+
+DEGENERATE_MIX = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(-500.0,), stds=(0.01,))
+TWO_BUMP_MIX = TruncatedGaussianMixture(
+    floor=0.01, weights=(0.5, 0.5), means=(0.3, 0.8), stds=(0.2, 0.15)
+)
+
+# mass(x) rounds to mass(1) for x just below 1, and the total mass of about
+# 0.05 makes alpha * mass(1) underflow to 0 at the smallest positive alpha
+LOW_BUMP_MIX = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(-0.2,), stds=(0.12,))
+
+
 class TestTruncatedGaussianMixture:
     def test_validation(self):
         with pytest.raises(ValueError, match="floor"):
@@ -150,7 +173,8 @@ class TestTruncatedGaussianMixture:
     def test_symmetric_single_component_mean(self):
         # symmetric truncation about the mean keeps the mean at 0.5
         mix = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(0.5,), stds=(0.12,))
-        assert analytic_mean(mix) == pytest.approx(0.5, abs=0.002)
+        assert analytic_mean(mix) == pytest.approx(_truncated_mixture_mean(mix), rel=1e-12)
+        assert analytic_mean(mix) == pytest.approx(0.5, rel=1e-12)
         draws = sample_many(mix, make_rng(11), 1_000_000)
         assert draws.mean() == pytest.approx(0.5, abs=0.002)
 
@@ -163,12 +187,10 @@ class TestTruncatedGaussianMixture:
                 means=(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))),
                 stds=(float(rng.uniform(0.12, 0.5)), float(rng.uniform(0.12, 0.5))),
             )
-            assert analytic_mean(mix) == pytest.approx(_truncated_mixture_mean(mix), abs=0.003)
+            assert analytic_mean(mix) == pytest.approx(_truncated_mixture_mean(mix), rel=1e-12)
 
     def test_cvar_monotone_and_consistent(self):
-        mix = TruncatedGaussianMixture(
-            floor=0.01, weights=(0.5, 0.5), means=(0.3, 0.8), stds=(0.2, 0.15)
-        )
+        mix = TWO_BUMP_MIX
         alphas = [0.01, 0.05, 0.2, 0.5, 1.0]
         values = [analytic_cvar(mix, a) for a in alphas]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
@@ -185,17 +207,88 @@ class TestTruncatedGaussianMixture:
         b = sample_many(mix, make_rng(9), 10_000)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mix", [TWO_BUMP_MIX, LOW_BUMP_MIX])
+    def test_cvar_at_one_is_mean_bit_for_bit(self, mix):
+        assert quantile_value(mix, 1.0) == 1.0
+        assert analytic_cvar(mix, 1.0) == analytic_mean(mix)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1.0])
+    def test_quantile_inverts_cdf(self, alpha):
+        q = quantile_value(TWO_BUMP_MIX, alpha)
+        assert TWO_BUMP_MIX.floor <= q <= 1.0
+        assert _truncated_mixture_cdf(TWO_BUMP_MIX, q) == pytest.approx(alpha, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("mix", [TWO_BUMP_MIX, LOW_BUMP_MIX])
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-12, 1e-9])
+    def test_tiny_alpha_tail_mean_bounded(self, mix, alpha):
+        q = quantile_value(mix, alpha)
+        assert mix.floor <= analytic_cvar(mix, alpha) <= q
+        assert q == pytest.approx(mix.floor, abs=1e-8)
+
+    def test_cvar_against_sample(self):
+        draws = np.sort(sample_many(TWO_BUMP_MIX, make_rng(3), 1_000_000))
+        for alpha in (0.01, 0.05, 0.2, 0.5, 1.0):
+            tail = draws[: math.ceil(alpha * draws.size)]
+            assert analytic_cvar(TWO_BUMP_MIX, alpha) == pytest.approx(tail.mean(), abs=3e-3)
+
     def test_degenerate_mixture_raises(self):
         # essentially all mass far below the acceptance window
-        mix = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(-500.0,), stds=(0.01,))
         with pytest.raises(DegenerateMixtureError):
-            sample_many(mix, make_rng(0), 10)
+            sample_many(DEGENERATE_MIX, make_rng(0), 10)
+
+    def test_degenerate_mixture_statistics_raise(self):
+        with pytest.raises(DegenerateMixtureError):
+            analytic_mean(DEGENERATE_MIX)
+        with pytest.raises(DegenerateMixtureError):
+            BanditProblem.from_arms([TWO_BUMP_MIX, DEGENERATE_MIX])
 
     def test_from_components(self):
         mix = TruncatedGaussianMixture.from_components(0.01, [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3)])
         assert mix.weights == (0.3, 0.7)
         assert mix.means == (0.4, 0.6)
         assert mix.stds == (0.2, 0.3)
+
+
+_unit_value = st.floats(0.0, 1.0)
+
+
+@st.composite
+def arm_specs(draw):
+    """A random uniform segment, empirical list or truncated mixture."""
+    family = draw(st.sampled_from(["uniform", "empirical", "mixture"]))
+    if family == "uniform":
+        center = draw(st.floats(0.01, 0.99))
+        radius = draw(st.floats(0.001, min(center, 1.0 - center)))
+        return UniformSegment(center=center, radius=radius)
+    if family == "empirical":
+        return EmpiricalResample(values=tuple(draw(st.lists(_unit_value, min_size=1, max_size=20))))
+    n = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    return TruncatedGaussianMixture(
+        floor=draw(st.floats(0.0, 0.05)),
+        weights=tuple(w / sum(raw) for w in raw),
+        means=tuple(draw(st.lists(_unit_value, min_size=n, max_size=n))),
+        stds=tuple(draw(st.lists(st.floats(0.12, 0.5), min_size=n, max_size=n))),
+    )
+
+
+class TestTailProperties:
+    """CVaR properties over random specs of every family.
+
+    Levels start at 1e-4: the mixture tail mean carries a rounding error of
+    about 1e-17 / alpha, which stays below the 1e-12 slack used here.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(spec=arm_specs(), alphas=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=6))
+    def test_cvar_monotone_and_bounded(self, spec, alphas):
+        alphas = sorted(alphas) + [1.0]
+        values = [analytic_cvar(spec, a) for a in alphas]
+        for lo, hi in zip(values, values[1:]):
+            assert lo <= hi + 1e-12
+        for a, v in zip(alphas, values):
+            assert essential_infimum(spec) - 1e-12 <= v <= quantile_value(spec, a) + 1e-12
+        assert values[-1] == pytest.approx(analytic_mean(spec), rel=1e-12, abs=1e-15)
 
 
 class TestAlphaValidation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbandit import ArmStats, UndefinedStatisticError, tail_count
 
@@ -125,6 +126,22 @@ class TestArrivalOrderInvariance:
             assert inc.rewards_sorted == batch.rewards_sorted
             assert inc.running_sum == batch.running_sum
             assert inc.running_sq_dev == batch.running_sq_dev
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)), max_size=60
+        )
+    )
+    def test_incremental_equals_batch_property(self, values):
+        batch = ArmStats.from_rewards(values)
+        inc = ArmStats()
+        for v in values:
+            inc.update(v)
+        assert inc.count == batch.count
+        assert inc.running_sum == batch.running_sum
+        assert inc.running_sq_dev == batch.running_sq_dev
+        assert inc.rewards_sorted == batch.rewards_sorted
 
     def test_permutation_insensitive(self):
         rng = np.random.default_rng(13)
