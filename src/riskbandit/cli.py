@@ -40,8 +40,11 @@ from .config import (
 from .exceptions import ConfigError, DegenerateMixtureError
 from .generators import BanditProblem
 from .harness import (
+    RegretTotals,
     RunConfig,
     aggregate_regret,
+    draw_tables,
+    expand_grid,
     run_many,
     sorted_final_regret,
     sorted_reward_cdf,
@@ -156,7 +159,7 @@ class _Experiment:
                 "schema": JSON_SCHEMA,
                 "command": command,
                 "seed": self.spec.seed,
-                # episodes always run serially; the key stays for existing readers
+                # episodes always run in one thread; the key stays for existing readers
                 "config": {**resolved_config_dict(self.spec), "threads": 1},
                 **results,
                 "timing": {
@@ -175,7 +178,7 @@ def cmd_run(args) -> int:
     exp = _Experiment.open(args)
     spec = exp.spec
     problems = [build_problem(spec.problem, spec.seed, inst) for inst in range(spec.instances)]
-    # every (policy, instance) batch is validated before the first one runs,
+    # every (instance, policy) batch is validated before the first one runs,
     # so a bad policy parameter leaves no partial output behind
     batches = [
         [
@@ -186,21 +189,26 @@ def cmd_run(args) -> int:
                 seed=derive_seed(spec.seed, EPISODE_DOMAIN, inst),
                 n_runs=spec.runs,
             )
-            for inst, problem in enumerate(problems)
+            for entry in spec.policies
         ]
-        for entry in spec.policies
+        for inst, problem in enumerate(problems)
     ]
-    policy_stats = {}
-    for entry, configs in zip(spec.policies, batches):
-        ledgers = []
-        per_instance_final = []
-        for cfg in configs:
-            batch = run_many(cfg)
-            ledgers.extend(batch)
-            per_instance_final.append(sum(led.regret[-1] for led in batch) / len(batch))
+    totals = [RegretTotals() for _ in spec.policies]
+    per_instance_final = [[] for _ in spec.policies]
+    # instances outermost: each instance's reward tables are drawn once, serve
+    # every policy, and are dropped before the next instance's are drawn
+    for configs in batches:
+        tables = draw_tables(configs[0])
+        for cfg, tally, finals in zip(configs, totals, per_instance_final):
+            batch = run_many(cfg, tables)
+            tally.add(batch)
+            finals.append(sum(led.regret[-1] for led in batch) / len(batch))
+        del tables
 
+    policy_stats = {}
+    for entry, tally, finals in zip(spec.policies, totals, per_instance_final):
         label = _sanitize(entry.label)
-        curve = aggregate_regret(ledgers)
+        curve = aggregate_regret(tally)
         exp.write_table(
             f"regret_curve_{label}",
             ["t", "mean_theoretical_regret", "mean_empirical_regret", "std"],
@@ -211,17 +219,16 @@ def cmd_run(args) -> int:
                 (float(v) for v in curve.std_regret),
             ),
         )
-        cdf = sorted_reward_cdf(ledgers)
+        cdf = sorted_reward_cdf(tally)
         exp.write_table(
             f"sorted_rewards_{label}",
             ["rank", "mean_reward"],
             ((rank + 1, float(v)) for rank, v in enumerate(cdf)),
         )
-        finals = sorted_final_regret(per_instance_final)
         exp.write_table(
             f"sorted_final_regret_{label}",
             ["rank", "mean_final_regret"],
-            ((rank + 1, float(v)) for rank, v in enumerate(finals)),
+            ((rank + 1, float(v)) for rank, v in enumerate(sorted_final_regret(finals))),
         )
         policy_stats[entry.label] = {
             "mean_final_regret": float(curve.mean_regret[-1]),
@@ -235,18 +242,25 @@ def cmd_sweep(args) -> int:
     exp = _Experiment.open(args)
     spec = exp.spec
     problem = build_problem(spec.problem, spec.seed, 0)
-    cell_counts = {}
-    for entry in spec.policies:
-        policy = resolve_policy(entry, problem.k, spec.horizon)
-        base = RunConfig(
+    bases = [
+        RunConfig(
             problem=problem,
-            policy=policy,
+            policy=resolve_policy(entry, problem.k, spec.horizon),
             horizon=spec.horizon,
             seed=derive_seed(spec.seed, EPISODE_DOMAIN, 0),
             n_runs=spec.runs,
         )
+        for entry in spec.policies
+    ]
+    # every cell of every policy is validated before the first one runs, so a
+    # bad grid value leaves no partial output behind
+    for entry, base in zip(spec.policies, bases):
+        expand_grid(base, entry.sweep or {})
+    tables = draw_tables(bases[0])
+    cell_counts = {}
+    for entry, base in zip(spec.policies, bases):
         grid = entry.sweep or {}
-        cells = sweep(base, grid)
+        cells = sweep(base, grid, tables)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{_sanitize(entry.label)}",

@@ -3,11 +3,14 @@
 An episode plays one policy for ``horizon`` rounds against one problem.  The
 reward an arm would yield on its ``u``-th pull is drawn up front into a
 ``(k, horizon)`` table, one derived RNG stream per ``(run, arm)`` pair (see
-:mod:`riskbandit.rng`), and the episode kernel consumes the table.  Two
+:mod:`riskbandit.rng`).  A batch stacks its runs' tables into one
+``(runs, k, horizon)`` array (:func:`draw_tables`), drawn once and shared by
+every policy and every sweep cell played on it, and the kernels of
+:mod:`riskbandit.kernels` play all runs of the batch in lockstep.  Two
 consequences worth relying on:
 
 * runs are reproducible bit for bit, and adding runs never changes the
-  draws of existing ones;
+  draws or the episodes of existing ones;
 * policies compared under the same ``(problem, seed)`` face identical reward
   tables, so policy differences are not confounded by sampling noise.
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from . import kernels
 from .distributions import sample_many
 from .exceptions import ConfigError
 from .generators import BanditProblem
-from .policies import ExpExp, MIN, MaRaB, MVLCB, PolicyConfig, UCB
+from .policies import ExpExp, PolicyConfig
 from .rng import substream, validate_seed
 
 
@@ -103,44 +106,66 @@ def draw_reward_table(problem: BanditProblem, seed: int, run_index: int, horizon
     return table
 
 
-def _play(table: np.ndarray, policy: PolicyConfig):
-    if isinstance(policy, UCB):
-        return kernels.episode_ucb(table, policy.c)
-    if isinstance(policy, MIN):
-        return kernels.episode_min(table)
-    if isinstance(policy, MaRaB):
-        return kernels.episode_marab(table, policy.c, policy.alpha)
-    if isinstance(policy, MVLCB):
-        return kernels.episode_mvlcb(table, policy.rho, policy.delta)
-    if isinstance(policy, ExpExp):
-        return kernels.episode_expexp(table, policy.rho, policy.tau)
-    raise TypeError(f"unknown policy config type: {type(policy).__name__}")
+def draw_tables(cfg: RunConfig) -> np.ndarray:
+    """Every run's reward table of the batch, stacked: shape ``(n_runs, k, horizon)``.
+
+    The array depends only on the problem, seed, run count and horizon, so
+    one draw serves every policy and every sweep cell of those.
+    """
+    return np.stack([draw_reward_table(cfg.problem, cfg.seed, r, cfg.horizon) for r in range(cfg.n_runs)])
+
+
+def _play(tables: np.ndarray, policy: PolicyConfig):
+    # kernel parameters are named after the policy's fields
+    kernel = getattr(kernels, f"episode_{policy.kind}")
+    return kernel(tables, **dataclasses.asdict(policy))
+
+
+def _ledgers(cfg: RunConfig, tables: np.ndarray) -> list[RegretLedger]:
+    """Play every run of ``tables`` in lockstep and account each run's regret."""
+    chosen, rewards = _play(tables, cfg.policy)
+    runs, k = len(chosen), cfg.problem.k
+    regret = np.cumsum(cfg.problem.margins_mean[chosen], axis=1)
+    t = np.arange(1, cfg.horizon + 1, dtype=np.float64)
+    regret_emp = t * cfg.problem.mu_star - np.cumsum(rewards, axis=1)
+    flat_arm = chosen + k * np.arange(runs)[:, None]
+    pull_counts = np.bincount(flat_arm.ravel(), minlength=runs * k).reshape(runs, k)
+    for arr in (chosen, rewards, regret, regret_emp, pull_counts):
+        arr.flags.writeable = False
+    return [
+        RegretLedger(
+            chosen=chosen[r],
+            rewards=rewards[r],
+            regret=regret[r],
+            regret_emp=regret_emp[r],
+            pull_counts=pull_counts[r],
+        )
+        for r in range(runs)
+    ]
 
 
 def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
-    """Play run ``run_index`` of the batch and account its regret."""
+    """Play run ``run_index`` of the batch, as a batch of one, and account its regret."""
     if run_index < 0:
         raise ValueError(f"run_index must be >= 0, got {run_index}")
     table = draw_reward_table(cfg.problem, cfg.seed, run_index, cfg.horizon)
-    chosen, rewards = _play(table, cfg.policy)
-    regret = np.cumsum(cfg.problem.margins_mean[chosen])
-    t = np.arange(1, cfg.horizon + 1, dtype=np.float64)
-    regret_emp = t * cfg.problem.mu_star - np.cumsum(rewards)
-    pull_counts = np.bincount(chosen, minlength=cfg.problem.k)
-    for arr in (chosen, rewards, regret, regret_emp, pull_counts):
-        arr.flags.writeable = False
-    return RegretLedger(
-        chosen=chosen,
-        rewards=rewards,
-        regret=regret,
-        regret_emp=regret_emp,
-        pull_counts=pull_counts,
-    )
+    return _ledgers(cfg, table[np.newaxis])[0]
 
 
-def run_many(cfg: RunConfig) -> list[RegretLedger]:
-    """All ``cfg.n_runs`` episodes, ordered by run index."""
-    return [run_episode(cfg, r) for r in range(cfg.n_runs)]
+def run_many(cfg: RunConfig, tables: np.ndarray | None = None) -> list[RegretLedger]:
+    """All ``cfg.n_runs`` episodes, ordered by run index.
+
+    ``tables`` is the batch's :func:`draw_tables` array, drawn here when not
+    given; pass it to play several policies on one draw.
+    """
+    if tables is None:
+        tables = draw_tables(cfg)
+    elif tables.shape != (cfg.n_runs, cfg.problem.k, cfg.horizon):
+        raise ValueError(
+            f"reward tables have shape {tables.shape}, expected "
+            f"{(cfg.n_runs, cfg.problem.k, cfg.horizon)}"
+        )
+    return _ledgers(cfg, tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,38 +178,65 @@ class RegretCurve:
     std_regret: np.ndarray  # population std of the analytic-mean regret across runs
 
 
-def _equal_horizons(ledgers: Sequence[RegretLedger]) -> int:
-    if not ledgers:
+class RegretTotals:
+    """A policy's episodes reduced to what its curves need, in run order.
+
+    Keeps every run's regret row, which the spread needs, but only running
+    sums of ``regret_emp`` and ``rewards``, so a long experiment holds one
+    row per run instead of a whole ledger.  The sums add one row at a time,
+    the order in which ``mean(axis=0)`` of the stacked rows adds them, so
+    the means equal the stacked ones bit for bit.
+    """
+
+    def __init__(self, ledgers: Iterable[RegretLedger] = ()) -> None:
+        self.regret: list[np.ndarray] = []
+        self.regret_emp_sum = None
+        self.rewards_sum = None
+        self.add(ledgers)
+
+    def add(self, ledgers: Iterable[RegretLedger]) -> None:
+        for led in ledgers:
+            if not self.regret:
+                self.regret_emp_sum = led.regret_emp.copy()
+                self.rewards_sum = led.rewards.copy()
+            elif led.horizon != len(self.rewards_sum):
+                raise ValueError(
+                    f"ledger {len(self.regret)} has horizon {led.horizon}, "
+                    f"expected {len(self.rewards_sum)}"
+                )
+            else:
+                self.regret_emp_sum += led.regret_emp
+                self.rewards_sum += led.rewards
+            self.regret.append(led.regret)
+
+
+def _totals(ledgers: Iterable[RegretLedger] | RegretTotals) -> RegretTotals:
+    totals = ledgers if isinstance(ledgers, RegretTotals) else RegretTotals(ledgers)
+    if not totals.regret:
         raise ValueError("need at least one ledger")
-    horizon = ledgers[0].horizon
-    for i, led in enumerate(ledgers):
-        if led.horizon != horizon:
-            raise ValueError(f"ledger {i} has horizon {led.horizon}, expected {horizon}")
-    return horizon
+    return totals
 
 
-def aggregate_regret(ledgers: Sequence[RegretLedger]) -> RegretCurve:
+def aggregate_regret(ledgers: Iterable[RegretLedger] | RegretTotals) -> RegretCurve:
     """Pointwise mean and spread of the regret curves of a batch."""
-    horizon = _equal_horizons(ledgers)
-    reg = np.stack([led.regret for led in ledgers])
-    emp = np.stack([led.regret_emp for led in ledgers])
+    totals = _totals(ledgers)
+    reg = np.stack(totals.regret)
     return RegretCurve(
-        t=np.arange(1, horizon + 1),
+        t=np.arange(1, reg.shape[1] + 1),
         mean_regret=reg.mean(axis=0),
-        mean_regret_emp=emp.mean(axis=0),
+        mean_regret_emp=totals.regret_emp_sum / len(reg),
         std_regret=reg.std(axis=0),
     )
 
 
-def sorted_reward_cdf(ledgers: Sequence[RegretLedger]) -> np.ndarray:
+def sorted_reward_cdf(ledgers: Iterable[RegretLedger] | RegretTotals) -> np.ndarray:
     """Mean reward at each round across the batch, sorted increasing.
 
     The low end of the curve shows how hard the policy was hit while probing
     poor arms.
     """
-    _equal_horizons(ledgers)
-    mean_per_round = np.stack([led.rewards for led in ledgers]).mean(axis=0)
-    return np.sort(mean_per_round)
+    totals = _totals(ledgers)
+    return np.sort(totals.rewards_sum / len(totals.regret))
 
 
 def sorted_final_regret(per_instance_regrets: Sequence[float]) -> np.ndarray:
@@ -205,13 +257,13 @@ class SweepCell:
     std_final_regret: float
 
 
-def sweep(base: RunConfig, grid: dict) -> list[SweepCell]:
-    """Run the Cartesian product of ``grid`` overrides on ``base``.
+def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
+    """Every cell of the Cartesian product of ``grid`` overrides on ``base``.
 
     Keys must be field names of the policy config (unknown names are
-    rejected).  Every cell reuses the base seed, so all cells face the same
-    reward tables and differ only in the policy parameters.  An empty grid
-    yields the single base cell.
+    rejected), and every cell's policy is validated.  Each cell is its
+    overridden parameters and its run config; an empty grid yields the
+    single base cell.
     """
     valid = {f.name for f in dataclasses.fields(base.policy)}
     for name in grid:
@@ -229,11 +281,26 @@ def sweep(base: RunConfig, grid: dict) -> list[SweepCell]:
             policy = dataclasses.replace(base.policy, **params)
         except ValueError as err:
             raise ConfigError(f"sweep cell {params}: {err}") from None
-        cfg = dataclasses.replace(base, policy=policy)
-        ledgers = run_many(cfg)
+        cells.append((params, dataclasses.replace(base, policy=policy)))
+    return cells
+
+
+def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
+    """Run every cell of :func:`expand_grid` on ``base``.
+
+    Every cell reuses the base seed, so all cells play the one ``tables``
+    array (drawn here when not given) and differ only in the policy
+    parameters.
+    """
+    cells = expand_grid(base, grid)
+    if tables is None:
+        tables = draw_tables(base)
+    results = []
+    for params, cfg in cells:
+        ledgers = run_many(cfg, tables)
         finals = np.array([led.regret[-1] for led in ledgers])
         finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
-        cells.append(
+        results.append(
             SweepCell(
                 params=params,
                 mean_final_regret=float(finals.mean()),
@@ -241,4 +308,4 @@ def sweep(base: RunConfig, grid: dict) -> list[SweepCell]:
                 std_final_regret=float(finals.std()),
             )
         )
-    return cells
+    return results

@@ -12,11 +12,13 @@ The seeding layout used by the toolkit:
 * problem instance ``i`` is generated from ``substream(master_seed, PROBLEM_DOMAIN, i)``
 * the per-instance episode seed is ``derive_seed(master_seed, EPISODE_DOMAIN, i)``
 * within an episode batch, the reward stream of arm ``a`` in run ``r`` is
-  ``substream(episode_seed, r, a)``
+  ``substream(episode_seed, r, a)``; it fills row ``[r, a]`` of the batch's
+  one ``(runs, k, horizon)`` reward array, which every policy and sweep cell
+  of the batch then plays in lockstep
 
 Because streams are keyed by index rather than by draw order, adding runs or
-arms never perturbs the draws of existing ones, and the order in which runs
-execute cannot change any of them.
+arms never perturbs the draws of existing ones, and neither the order in
+which rows are drawn nor which policies share them can change any of them.
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ class TestAcceptance:
             assert observed <= bound
         _report(9, "20 problems, observed <= expectation bound", started, 120.0)
 
-    def test_criterion_10_rerun_and_thread_count_determinism(self, tmp_path):
+    def test_criterion_10_rerun_determinism(self, tmp_path):
         started = time.perf_counter()
         spec = tmp_path / "exp.yaml"
         spec.write_text(

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import riskbandit.cli as cli
+import riskbandit.harness as harness
 from riskbandit.cli import main
 
 SPEC_TEXT = """\
@@ -172,6 +173,21 @@ class TestRun:
         assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
         assert built == [0, 1, 2]
 
+    def test_each_table_drawn_once(self, tmp_path, monkeypatch):
+        drawn = []
+        real_draw = harness.draw_reward_table
+
+        def counting_draw(problem, seed, run_index, horizon):
+            drawn.append((seed, run_index))
+            return real_draw(problem, seed, run_index, horizon)
+
+        monkeypatch.setattr(harness, "draw_reward_table", counting_draw)
+        path = tmp_path / "exp.yaml"
+        path.write_text(SPEC_TEXT + "instances: 3\n")  # two policies, two runs
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(drawn) == 3 * 2
+        assert len(set(drawn)) == len(drawn)
+
     def test_unwritable_out_exit_2(self, spec_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
@@ -206,6 +222,37 @@ class TestSweep:
         path.write_text(SWEEP_TEXT.replace("c: [1.0e-3, 1.0]", "c: [1.0e-3, .inf]"))
         assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "c must be non-negative and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_policy, message",
+        [
+            ("{policy: ucb, c: .nan}", "error: policy 'ucb': c must be positive and finite"),
+            ("{policy: ucb, sweep: {c: [1.0, -1.0]}}", "error: sweep cell {'c': -1.0}: c must be positive"),
+        ],
+    )
+    def test_bad_later_policy_exit_1_before_any_output(self, tmp_path, capsys, bad_policy, message):
+        # the MaRaB grid comes first and is valid; nothing may be written
+        path = tmp_path / "sweep.yaml"
+        path.write_text(SWEEP_TEXT.replace("- policy: min", f"- {bad_policy}"))
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_tables_drawn_once(self, tmp_path, monkeypatch):
+        drawn = []
+        real_draw = harness.draw_reward_table
+
+        def counting_draw(problem, seed, run_index, horizon):
+            drawn.append(run_index)
+            return real_draw(problem, seed, run_index, horizon)
+
+        monkeypatch.setattr(harness, "draw_reward_table", counting_draw)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(SWEEP_TEXT)  # 4 + 1 cells, two runs
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert drawn == [0, 1]
 
 
 class TestBound:

@@ -17,7 +17,7 @@ from riskbandit import (
     sorted_reward_cdf,
     sweep,
 )
-from riskbandit.harness import draw_reward_table
+from riskbandit.harness import RegretTotals, draw_reward_table, draw_tables
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,25 @@ class TestRunMany:
                 counts[a] += 1
 
 
+    def test_given_tables_equal_own_draw(self, small_cfg):
+        import dataclasses
+
+        tables = draw_tables(small_cfg)
+        assert tables.shape == (small_cfg.n_runs, small_cfg.problem.k, small_cfg.horizon)
+        for policy in (small_cfg.policy, MIN()):
+            cfg = dataclasses.replace(small_cfg, policy=policy)
+            for a, b in zip(run_many(cfg), run_many(cfg, tables)):
+                assert np.array_equal(a.chosen, b.chosen)
+                assert np.array_equal(a.rewards, b.rewards)
+
+    def test_tables_shape_checked(self, small_cfg):
+        import dataclasses
+
+        tables = draw_tables(dataclasses.replace(small_cfg, n_runs=2))
+        with pytest.raises(ValueError, match="shape"):
+            run_many(small_cfg, tables)
+
+
 class TestAggregation:
     def test_single_ledger_identity(self, small_cfg):
         led = run_episode(small_cfg, 0)
@@ -163,6 +182,19 @@ class TestAggregation:
         stacked = np.stack([led.regret for led in ledgers])
         np.testing.assert_allclose(curve.mean_regret, stacked.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(curve.std_regret, stacked.std(axis=0), atol=1e-12)
+
+    def test_totals_equal_stacked_means_bitwise(self, small_cfg):
+        import dataclasses
+
+        ledgers = run_many(small_cfg) + run_many(dataclasses.replace(small_cfg, seed=12))
+        totals = RegretTotals(ledgers[:4])
+        totals.add(ledgers[4:])
+        curve = aggregate_regret(totals)
+        assert np.array_equal(curve.mean_regret, np.stack([led.regret for led in ledgers]).mean(axis=0))
+        assert np.array_equal(curve.mean_regret_emp, np.stack([led.regret_emp for led in ledgers]).mean(axis=0))
+        want_cdf = np.sort(np.stack([led.rewards for led in ledgers]).mean(axis=0))
+        assert np.array_equal(sorted_reward_cdf(totals), want_cdf)
+        assert np.array_equal(sorted_reward_cdf(ledgers), want_cdf)
 
     def test_mismatched_horizons_rejected(self, small_cfg):
         import dataclasses
