@@ -150,8 +150,13 @@ class _Experiment:
     def write_table(self, stem: str, header: list[str], rows) -> None:
         _write_table(self.out_dir, stem, self.spec.format, header, rows, self.meta)
 
-    def close(self, command: str, name: str, results: dict) -> None:
-        """Write the summary file ``name``, with ``results`` under their own keys."""
+    def close(self, command: str, name: str, results: dict, play: dict) -> None:
+        """Write the summary file ``name``, with ``results`` under their own keys.
+
+        ``play`` maps each policy label to its kernel calls and the seconds
+        spent in them and in their regret accounting; it goes under
+        ``timing``, outside byte identity.
+        """
         _write_summary(
             self.out_dir,
             name,
@@ -165,6 +170,10 @@ class _Experiment:
                 "timing": {
                     "started_at": self.started_at,
                     "wall_seconds": round(time.perf_counter() - self.clock, 3),
+                    "play": {
+                        label: {"kernel_calls": calls, "seconds": round(seconds, 3)}
+                        for label, (calls, seconds) in play.items()
+                    },
                 },
             },
         )
@@ -195,12 +204,15 @@ def cmd_run(args) -> int:
     ]
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
+    play_seconds = [0.0 for _ in spec.policies]
     # instances outermost: each instance's reward tables are drawn once, serve
     # every policy, and are dropped before the next instance's are drawn
     for configs in batches:
         tables = draw_tables(configs[0])
-        for cfg, tally, finals in zip(configs, totals, per_instance_final):
+        for i, (cfg, tally, finals) in enumerate(zip(configs, totals, per_instance_final)):
+            start = time.perf_counter()
             batch = run_many(cfg, tables)
+            play_seconds[i] += time.perf_counter() - start
             tally.add(batch)
             finals.append(sum(led.regret[-1] for led in batch) / len(batch))
         del tables
@@ -234,7 +246,10 @@ def cmd_run(args) -> int:
             "mean_final_regret": float(curve.mean_regret[-1]),
             "mean_final_regret_emp": float(curve.mean_regret_emp[-1]),
         }
-    exp.close("run", "summary.json", {"policies": policy_stats})
+    play = {
+        entry.label: (len(batches), seconds) for entry, seconds in zip(spec.policies, play_seconds)
+    }
+    exp.close("run", "summary.json", {"policies": policy_stats}, play)
     return 0
 
 
@@ -258,9 +273,12 @@ def cmd_sweep(args) -> int:
         expand_grid(base, entry.sweep or {})
     tables = draw_tables(bases[0])
     cell_counts = {}
+    play = {}
     for entry, base in zip(spec.policies, bases):
         grid = entry.sweep or {}
+        start = time.perf_counter()
         cells = sweep(base, grid, tables)
+        play[entry.label] = (cells[-1].kernel_call + 1, time.perf_counter() - start)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{_sanitize(entry.label)}",
@@ -272,7 +290,7 @@ def cmd_sweep(args) -> int:
             ),
         )
         cell_counts[entry.label] = len(cells)
-    exp.close("sweep", "sweep_summary.json", {"cells": cell_counts})
+    exp.close("sweep", "sweep_summary.json", {"cells": cell_counts}, play)
     return 0
 
 

@@ -138,7 +138,10 @@ def _coerce(value: Any, typ: type, path: str) -> Any:
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(path, f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            _fail(path, f"{value} is too large for a float")
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(path, f"expected an integer, got {value!r}")
@@ -159,7 +162,7 @@ def _parse_problem(doc: Any) -> ProblemSpec:
     if "generator" not in doc:
         _fail("problem.generator", "required")
     name = doc["generator"]
-    if name not in _GENERATOR_FIELDS:
+    if not isinstance(name, str) or name not in _GENERATOR_FIELDS:
         _fail("problem.generator", f"unknown generator {name!r}; valid: {sorted(_GENERATOR_FIELDS)}")
     fields = _GENERATOR_FIELDS[name]
     _reject_unknown(doc, set(fields) | {"generator"}, "problem")
@@ -178,7 +181,7 @@ def _parse_policy(doc: Any, index: int) -> PolicyEntry:
     if "policy" not in doc:
         _fail(f"{path}.policy", "required")
     kind = doc["policy"]
-    if kind not in _POLICY_FIELDS:
+    if not isinstance(kind, str) or kind not in _POLICY_FIELDS:
         _fail(f"{path}.policy", f"unknown policy {kind!r}; valid: {sorted(_POLICY_FIELDS)}")
     fields = _POLICY_FIELDS[kind]
     _reject_unknown(doc, set(fields) | {"policy", "label", "sweep"}, path)

@@ -38,6 +38,8 @@ from .exceptions import DegenerateMixtureError
 # single accepted draw.
 REJECTION_CAP = 1_000_000
 _REJECTION_BLOCK = 8192
+# attempts per chunk of normals within a block (a divisor of the block)
+_REJECTION_CHUNK = 1024
 
 _SUPPORT_TOL = 1e-12
 
@@ -152,6 +154,10 @@ def sample_many(spec: ArmSpec, rng: np.random.Generator, n: int) -> np.ndarray:
       attempt blocks (component picks for a whole block, then normals for the
       block), keeping accepted draws in attempt order.  The output is a
       deterministic function of the spec, the generator state, and ``n``.
+      The block that fills the output stops drawing normals once it is full,
+      so the generator's state after the call is not part of the contract:
+      draw nothing else from a generator after a mixture sample whose values
+      must stay reproducible.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -175,20 +181,27 @@ def _sample_mixture(spec: TruncatedGaussianMixture, rng: np.random.Generator, n:
     filled = 0
     rejected_streak = 0
     while filled < n:
-        comp = np.searchsorted(cum, rng.random(_REJECTION_BLOCK), side="right")
-        draws = means[comp] + stds[comp] * rng.standard_normal(_REJECTION_BLOCK)
-        accepted = draws[(draws >= spec.floor) & (draws <= 1.0)]
-        if accepted.size == 0:
-            rejected_streak += _REJECTION_BLOCK
-            if rejected_streak > REJECTION_CAP:
-                raise DegenerateMixtureError(
-                    f"no draw landed in [{spec.floor}, 1] after {rejected_streak} attempts"
-                )
+        block_start = filled
+        picks = rng.random(_REJECTION_BLOCK)
+        # the block's normals come chunk by chunk, so a block that fills the
+        # row stops drawing; the chunks are the same draws as one call
+        for lo in range(0, _REJECTION_BLOCK, _REJECTION_CHUNK):
+            comp = np.searchsorted(cum, picks[lo : lo + _REJECTION_CHUNK], side="right")
+            draws = means[comp] + stds[comp] * rng.standard_normal(comp.size)
+            accepted = draws[(draws >= spec.floor) & (draws <= 1.0)]
+            take = min(accepted.size, n - filled)
+            out[filled : filled + take] = accepted[:take]
+            filled += take
+            if filled == n:
+                break
+        if filled > block_start:
+            rejected_streak = 0
             continue
-        rejected_streak = 0
-        take = min(accepted.size, n - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
+        rejected_streak += _REJECTION_BLOCK
+        if rejected_streak > REJECTION_CAP:
+            raise DegenerateMixtureError(
+                f"no draw landed in [{spec.floor}, 1] after {rejected_streak} attempts"
+            )
     return out
 
 

@@ -6,8 +6,10 @@ reward an arm would yield on its ``u``-th pull is drawn up front into a
 :mod:`riskbandit.rng`).  A batch stacks its runs' tables into one
 ``(runs, k, horizon)`` array (:func:`draw_tables`), drawn once and shared by
 every policy and every sweep cell played on it, and the kernels of
-:mod:`riskbandit.kernels` play all runs of the batch in lockstep.  Two
-consequences worth relying on:
+:mod:`riskbandit.kernels` play all runs of the batch in lockstep.  A sweep
+plays its grid cells as *lanes* of a few such calls (:func:`pack_cells`):
+lane ``cell * runs + r`` plays run ``r``'s table with its cell's
+parameters.  Two consequences worth relying on:
 
 * runs are reproducible bit for bit, and adding runs never changes the
   draws or the episodes of existing ones;
@@ -115,15 +117,17 @@ def draw_tables(cfg: RunConfig) -> np.ndarray:
     return np.stack([draw_reward_table(cfg.problem, cfg.seed, r, cfg.horizon) for r in range(cfg.n_runs)])
 
 
-def _play(tables: np.ndarray, policy: PolicyConfig):
-    # kernel parameters are named after the policy's fields
-    kernel = getattr(kernels, f"episode_{policy.kind}")
-    return kernel(tables, **dataclasses.asdict(policy))
+def _play(tables: np.ndarray, *policies: PolicyConfig):
+    """Play every run of ``tables`` under each of ``policies``, cells of one
+    kind, in one kernel call: lane ``cell * runs + r`` plays run ``r``."""
+    # kernel parameters are named after the policy's fields, one value per cell
+    kernel = getattr(kernels, f"episode_{policies[0].kind}")
+    names = [f.name for f in dataclasses.fields(policies[0])]
+    return kernel(tables, **{n: [getattr(p, n) for p in policies] for n in names})
 
 
-def _ledgers(cfg: RunConfig, tables: np.ndarray) -> list[RegretLedger]:
-    """Play every run of ``tables`` in lockstep and account each run's regret."""
-    chosen, rewards = _play(tables, cfg.policy)
+def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[RegretLedger]:
+    """Account each run's regret from its ``(runs, horizon)`` records."""
     runs, k = len(chosen), cfg.problem.k
     regret = np.cumsum(cfg.problem.margins_mean[chosen], axis=1)
     t = np.arange(1, cfg.horizon + 1, dtype=np.float64)
@@ -149,7 +153,7 @@ def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
     if run_index < 0:
         raise ValueError(f"run_index must be >= 0, got {run_index}")
     table = draw_reward_table(cfg.problem, cfg.seed, run_index, cfg.horizon)
-    return _ledgers(cfg, table[np.newaxis])[0]
+    return _ledgers(cfg, *_play(table[np.newaxis], cfg.policy))[0]
 
 
 def run_many(cfg: RunConfig, tables: np.ndarray | None = None) -> list[RegretLedger]:
@@ -158,14 +162,20 @@ def run_many(cfg: RunConfig, tables: np.ndarray | None = None) -> list[RegretLed
     ``tables`` is the batch's :func:`draw_tables` array, drawn here when not
     given; pass it to play several policies on one draw.
     """
+    tables = _tables(cfg, tables)
+    return _ledgers(cfg, *_play(tables, cfg.policy))
+
+
+def _tables(cfg: RunConfig, tables: np.ndarray | None) -> np.ndarray:
+    """``tables`` checked against the batch's shape, or drawn when not given."""
     if tables is None:
-        tables = draw_tables(cfg)
-    elif tables.shape != (cfg.n_runs, cfg.problem.k, cfg.horizon):
+        return draw_tables(cfg)
+    if tables.shape != (cfg.n_runs, cfg.problem.k, cfg.horizon):
         raise ValueError(
             f"reward tables have shape {tables.shape}, expected "
             f"{(cfg.n_runs, cfg.problem.k, cfg.horizon)}"
         )
-    return _ledgers(cfg, tables)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +259,17 @@ def sorted_final_regret(per_instance_regrets: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """Aggregate of one grid cell: the overridden parameters and final regrets."""
+    """Aggregate of one grid cell: the overridden parameters and final regrets.
+
+    ``kernel_call`` numbers the kernel call, within the sweep, that played
+    the cell (see :func:`pack_cells`).
+    """
 
     params: dict
     mean_final_regret: float
     mean_final_regret_emp: float
     std_final_regret: float
+    kernel_call: int = 0
 
 
 def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
@@ -285,19 +300,64 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
     return cells
 
 
+def pack_cells(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[int]:
+    """How many of ``policies``, in order, each kernel call of a sweep plays.
+
+    ``shape`` is the shared ``(runs, k, horizon)`` reward array's.  A call
+    takes the next cell only while two things each stay within that array's
+    size: its MaRaB sorted rows (``runs * k`` rows of
+    :func:`~riskbandit.kernels.buffer_width` floats per cell) and its
+    per-round records (two ``(runs, horizon)`` arrays per cell).  A call always takes at least one cell; a cell that exceeds a
+    bound on its own plays alone, as it would unpacked.
+    """
+    runs, k, horizon = shape
+    budget = runs * k * horizon
+    sizes: list[int] = []
+    rows = records = 0
+    for policy in policies:
+        cell_rows = 0
+        if policy.kind == "marab":
+            cell_rows = runs * k * kernels.buffer_width(policy.alpha, horizon)
+        cell_records = 2 * runs * horizon
+        if sizes and rows + cell_rows <= budget and records + cell_records <= budget:
+            sizes[-1] += 1
+            rows += cell_rows
+            records += cell_records
+        else:
+            sizes.append(1)
+            rows, records = cell_rows, cell_records
+    return sizes
+
+
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
     """Run every cell of :func:`expand_grid` on ``base``.
 
     Every cell reuses the base seed, so all cells play the one ``tables``
     array (drawn here when not given) and differ only in the policy
-    parameters.
+    parameters.  The cells are played in grid order, as the lanes of the
+    few kernel calls :func:`pack_cells` allows.
     """
     cells = expand_grid(base, grid)
-    if tables is None:
-        tables = draw_tables(base)
+    tables = _tables(base, tables)
     results = []
-    for params, cfg in cells:
-        ledgers = run_many(cfg, tables)
+    start = 0
+    for call, size in enumerate(pack_cells([cfg.policy for _, cfg in cells], tables.shape)):
+        results += _play_cells(tables, cells[start : start + size], call)
+        start += size
+    return results
+
+
+def _play_cells(tables: np.ndarray, cells: list[tuple[dict, RunConfig]], call: int) -> list[SweepCell]:
+    """Play ``cells`` as the lanes of one kernel call and aggregate each one.
+
+    The call's records are dropped on return, before the next call starts.
+    """
+    chosen, rewards = _play(tables, *(cfg.policy for _, cfg in cells))
+    runs = len(tables)
+    results = []
+    for i, (params, cfg) in enumerate(cells):
+        lanes = slice(i * runs, (i + 1) * runs)
+        ledgers = _ledgers(cfg, chosen[lanes], rewards[lanes])
         finals = np.array([led.regret[-1] for led in ledgers])
         finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
         results.append(
@@ -306,6 +366,7 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
                 mean_final_regret=float(finals.mean()),
                 mean_final_regret_emp=float(finals_emp.mean()),
                 std_final_regret=float(finals.std()),
+                kernel_call=call,
             )
         )
     return results

@@ -1,68 +1,121 @@
-"""Lockstep episode loops: every run of a batch plays the same round together.
+"""Lockstep episode loops: every lane of a call plays the same round together.
 
 Each kernel plays one policy against a pre-drawn reward array ``rewards`` of
 shape ``(runs, k, horizon)``: entry ``[r, i, u]`` is the reward run ``r``
 would be handed on the ``u``-th pull of arm ``i``.  Drawing the rewards up
 front keeps the kernels free of RNG state, and one array serves every
-policy of a batch, so policies are compared on identical rewards.
+policy and every sweep cell of a batch, so they are compared on identical
+rewards.
 
-Kernels return ``(chosen, reward_seq)``, both of shape ``(runs, horizon)``:
-in the 1-based round ``t`` run ``r`` pulled arm ``chosen[r, t-1]`` and
-observed ``reward_seq[r, t-1]``.
+A call plays one or more *cells*: the policy's parameters are given per
+cell, as scalars (one cell) or equal-length sequences.  Lane
+``cell * runs + r`` plays run ``r``'s table with its cell's parameters; the
+table is read through an offset in one flat gather, never copied.  Kernels
+return ``(chosen, reward_seq)``, both of shape ``(cells * runs, horizon)``:
+in the 1-based round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and
+observed ``reward_seq[l, t-1]``.
 
-Per-arm statistics live in ``(runs, k)`` arrays.  Each round computes every
-run's and every arm's index in one elementwise array expression, picks each
-run's arm with ``np.argmax`` / ``np.argmin`` along ``axis=1`` (whose
-first-extremum rule is the lowest-index tie-break of
-:func:`riskbandit.policies.select_arm`), and fetches every run's reward with
-one flat fancy index.  The arithmetic mirrors :mod:`riskbandit.estimators`
-and :mod:`riskbandit.policies` operation for operation (scalar ``math.log``
-of the round, the same running-sum means, the same guarded ceil, tail sums
-added left to right), and elementwise float64 operations round exactly as
-their scalar counterparts, so every run reproduces the object-layer episode
-on its own rewards bit for bit.
+Per-arm statistics live in ``(lanes, k)`` arrays and each parameter in a
+``(lanes, 1)`` column.  Each round computes every lane's and every arm's
+index in one elementwise array expression, picks each lane's arm with
+``argmax`` / ``argmin`` along ``axis=1`` (whose first-extremum rule is
+the lowest-index tie-break of :func:`riskbandit.policies.select_arm`), and
+fetches every lane's reward with one flat fancy index.  The arithmetic
+mirrors :mod:`riskbandit.estimators` and :mod:`riskbandit.policies`
+operation for operation (``math.log`` of the round and of every cell's
+``1/delta`` and tail size, the same running-sum means, the same guarded
+ceil, tail sums added left to right), and elementwise float64 operations
+round exactly as their scalar counterparts, so every lane reproduces the
+object-layer episode on its own rewards bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-
 import numpy as np
 
 from ._util import CEIL_EPS
 
 
-class _Lockstep:
-    """Shared state of one batch: pull counts and the per-round records."""
+def tail_sizes(alpha: float, horizon: int) -> np.ndarray:
+    """MaRaB's tail size after ``n`` pulls (or at round ``n``), for ``n = 0..horizon``.
 
-    def __init__(self, rewards):
+    The ``ArmStats`` guarded ceil, ``max(1, ceil(alpha * n))``; its last
+    entry is the longest tail a ``horizon``-round episode can hold.
+    """
+    return np.maximum(1, np.ceil(alpha * np.arange(horizon + 1) - CEIL_EPS).astype(np.int64))
+
+
+def buffer_width(alpha: float, horizon: int) -> int:
+    """Floats of MaRaB's sorted buffer per ``(lane, arm)``: ``L + 1``.
+
+    With ``alpha * horizon <= 1`` every tail is the single lowest reward
+    (MaRaB's MIN limit), so no buffer is kept and the width is 0.
+    """
+    L = int(tail_sizes(alpha, horizon)[-1])
+    return 0 if L == 1 else L + 1
+
+
+def _per_cell(*params):
+    """Per-cell parameters (scalars or equal-length sequences) as 1-D arrays."""
+    return np.broadcast_arrays(*(np.atleast_1d(p) for p in params))
+
+
+def _lanes(values, runs):
+    """A per-cell parameter as a ``(lanes, 1)`` float column, lane ``cell * runs + r``.
+
+    With one cell it stays a scalar, which numpy multiplies faster than a
+    broadcast column.
+    """
+    if len(values) == 1:
+        return float(values[0])
+    return np.repeat(np.asarray(values, dtype=np.float64), runs)[:, None]
+
+
+class _Lockstep:
+    """Shared state of one call: pull counts and the per-round records of every lane."""
+
+    def __init__(self, rewards, cells=1):
         self.runs, self.k, self.horizon = rewards.shape
+        self.lanes = cells * self.runs
         self.flat = rewards.reshape(-1)
-        self.counts = np.zeros((self.runs, self.k), dtype=np.int64)
+        self.counts = np.zeros((self.lanes, self.k), dtype=np.int64)
         self.flat_counts = self.counts.reshape(-1)
-        self.arm0 = np.arange(self.runs) * self.k  # flat (run, arm) index of arm 0
-        self.chosen = np.empty((self.runs, self.horizon), dtype=np.int64)
-        self.reward_seq = np.empty((self.runs, self.horizon), dtype=np.float64)
+        self.arm0 = np.arange(self.lanes) * self.k  # flat (lane, arm) index of arm 0
+        # flat (run, arm) index of arm 0 in the lane's table; with one cell
+        # lane r is run r, so the (lane, arm) index serves
+        self.table_arm0 = None if cells == 1 else np.tile(np.arange(self.runs) * self.k, cells)
+        self.chosen = np.empty((self.lanes, self.horizon), dtype=np.int64)
+        self.reward_seq = np.empty((self.lanes, self.horizon), dtype=np.float64)
 
     def pull(self, t, a):
-        """Round ``t``: run ``r`` pulls arm ``a[r]`` (or every run pulls arm ``a``).
+        """Round ``t``: lane ``l`` pulls arm ``a[l]`` (or every lane pulls arm ``a``).
 
-        Returns the flat ``(run, arm)`` indices, the pull counts before this
+        Returns the flat ``(lane, arm)`` indices, the pull counts before this
         pull, and the rewards.
         """
         ia = self.arm0 + a
         cnt = self.flat_counts[ia]
         self.flat_counts[ia] = cnt + 1
-        x = self.flat[ia * self.horizon + cnt]
+        table_ia = ia if self.table_arm0 is None else self.table_arm0 + a
+        x = self.flat[table_ia * self.horizon + cnt]
         self.chosen[:, t - 1] = a
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x
 
+    def commit(self, t, lanes, a, start):
+        """From round ``t`` on, ``lanes`` pull arms ``a`` for good: their records
+        become each arm's rewards from pull ``start`` on."""
+        u = start[:, None] + np.arange(self.horizon - t + 1)
+        table_ia = (lanes % self.runs) * self.k + a
+        self.chosen[lanes, t - 1 :] = a[:, None]
+        self.reward_seq[lanes, t - 1 :] = self.flat[(table_ia * self.horizon)[:, None] + u]
+
 
 def _welford(run_sum, m2, ia, cnt, x):
     # the ArmStats.update order: previous mean, sum, count, then the deviation;
-    # the first pulls follow the same round robin in every run, so a pulled
-    # arm's count is 0 in every run or in none
+    # the first pulls follow the same round robin in every lane, so a pulled
+    # arm's count is 0 in every lane or in none
     prev_sum = run_sum[ia]
     prev_mean = prev_sum / cnt if cnt[0] > 0 else 0.0
     total = prev_sum + x
@@ -71,14 +124,16 @@ def _welford(run_sum, m2, ia, cnt, x):
 
 
 def episode_ucb(rewards, c):
-    b = _Lockstep(rewards)
-    run_sum = np.zeros((b.runs, b.k))
+    (c,) = _per_cell(c)
+    b = _Lockstep(rewards, len(c))
+    c = _lanes(c, b.runs)
+    run_sum = np.zeros((b.lanes, b.k))
     flat_sum = run_sum.reshape(-1)
     for t in range(1, b.horizon + 1):
         if t <= b.k:
             a = t - 1
         else:
-            a = np.argmax(run_sum / b.counts + c * np.sqrt(math.log(t) / b.counts), axis=1)
+            a = (run_sum / b.counts + c * np.sqrt(math.log(t) / b.counts)).argmax(axis=1)
         ia, _, x = b.pull(t, a)
         flat_sum[ia] += x
     return b.chosen, b.reward_seq
@@ -86,86 +141,138 @@ def episode_ucb(rewards, c):
 
 def episode_min(rewards):
     b = _Lockstep(rewards)
-    mins = np.full((b.runs, b.k), 2.0)
+    mins = np.full((b.lanes, b.k), 2.0)
     flat_mins = mins.reshape(-1)
     for t in range(1, b.horizon + 1):
-        a = t - 1 if t <= b.k else np.argmax(mins, axis=1)
+        a = t - 1 if t <= b.k else mins.argmax(axis=1)
         ia, _, x = b.pull(t, a)
         flat_mins[ia] = np.minimum(flat_mins[ia], x)
     return b.chosen, b.reward_seq
 
 
 def episode_marab(rewards, c, alpha):
-    b = _Lockstep(rewards)
-    # tail size after n pulls (or at round n), for every n, by the ArmStats guarded ceil
-    n_tail = np.maximum(1, np.ceil(alpha * np.arange(b.horizon + 1) - CEIL_EPS).astype(np.int64))
-    # no tail ever holds more than L rewards, so each (run, arm) keeps only
-    # its L lowest, sorted and padded with inf; column L takes the reward a
-    # full row pushes out
-    L = int(n_tail[-1])
-    low = np.full((b.runs * b.k, L + 1), np.inf)
-    rr = np.arange(b.runs)
+    c, alpha = _per_cell(c, alpha)
+    b = _Lockstep(rewards, len(c))
+    c = _lanes(c, b.runs)
+    lane_alpha = np.repeat(alpha, b.runs)
     # only the pulled arm's tail changes, so each arm's tail size and tail mean
     # are kept and refreshed after its pulls rather than rebuilt every round
-    n_alpha = np.ones((b.runs, b.k), dtype=np.int64)
-    tail_mean = np.zeros((b.runs, b.k))
+    n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
+    tail_mean = np.zeros((b.lanes, b.k))
     flat_n_alpha, flat_tail_mean = n_alpha.reshape(-1), tail_mean.reshape(-1)
+    alphas = dict.fromkeys(alpha.tolist())
+    # log of each lane's tail size at the current round; a scalar while every
+    # lane has the same alpha
+    log_tail = 0.0 if len(alphas) == 1 else np.zeros((b.lanes, 1))
+    tail_logs = []
+    # lanes of one alpha share a sorted buffer: no tail ever holds more than
+    # L rewards, so each (lane, arm) keeps only its L lowest, sorted and
+    # padded with inf; column L takes the reward a full row pushes out
+    groups = []
+    for value in alphas:
+        lanes = np.flatnonzero(lane_alpha == value)
+        n_tail = tail_sizes(value, b.horizon)
+        L = int(n_tail[-1])
+        if len(alphas) == 1:
+            sel = base = None
+        elif lanes[-1] - lanes[0] + 1 == len(lanes):
+            sel = slice(lanes[0], lanes[-1] + 1)
+            base = int(lanes[0]) * b.k or None
+        else:
+            sel = lanes
+            base = (lanes - np.arange(len(lanes))) * b.k
+        tail_logs.append((sel, list(map(math.log, n_tail.tolist()))))
+        width = buffer_width(value, b.horizon)
+        if width:
+            low = np.full((len(lanes) * b.k, width), np.inf)
+        else:
+            # every tail is the lowest reward: the tail mean is a running minimum
+            tail_mean[lanes] = np.inf
+            low = None
+        # tail size, and its last index, after a pull at each pull count
+        n_next = n_tail[1:]
+        groups.append((sel, base, n_next, n_next - 1, L, low, np.arange(len(lanes))))
     for t in range(1, b.horizon + 1):
+        for sel, logs in tail_logs:
+            if sel is None:
+                log_tail = logs[t]
+            else:
+                log_tail[sel] = logs[t]
         if t <= b.k:
             a = t - 1
         else:
-            a = np.argmax(tail_mean - c * np.sqrt(math.log(n_tail[t]) / n_alpha), axis=1)
+            a = (tail_mean - c * np.sqrt(log_tail / n_alpha)).argmax(axis=1)
         ia, cnt, x = b.pull(t, a)
-        # past the longest kept row everything is inf and stays inf
-        kept = min(int(cnt.max()), L)
-        rows = low[ia, : kept + 1]
-        # a stable sort puts the reward after its equals, like bisect.insort
-        rows[:, kept] = x
-        rows.sort(axis=1, kind="stable")
-        low[ia, : kept + 1] = rows
-        na = n_tail[cnt + 1]
-        flat_n_alpha[ia] = na
-        # cumsum adds left to right, the order ArmStats.empirical_cvar uses
-        flat_tail_mean[ia] = np.cumsum(rows[:, : na.max()], axis=1)[rr, na - 1] / na
+        for sel, base, n_next, n_last, L, low, rr in groups:
+            g_ia, g_cnt, g_x = (ia, cnt, x) if sel is None else (ia[sel], cnt[sel], x[sel])
+            if low is None:
+                flat_tail_mean[g_ia] = np.minimum(flat_tail_mean[g_ia], g_x)
+                continue
+            row = g_ia if base is None else g_ia - base
+            # past the longest kept row everything is inf and stays inf
+            # (a list max is faster than numpy's on a few lanes)
+            most = max(g_cnt.tolist())
+            kept = min(most, L)
+            rows = low[row, : kept + 1]
+            # a stable sort puts the reward after its equals, like bisect.insort
+            rows[:, kept] = g_x
+            rows.sort(axis=1, kind="stable")
+            low[row, : kept + 1] = rows
+            na = n_next[g_cnt]
+            flat_n_alpha[g_ia] = na
+            # cumsum adds left to right, the order ArmStats.empirical_cvar uses;
+            # tail sizes grow with the pull count, so the largest is the most
+            # pulled arm's
+            sums = rows[:, : n_next[most]].cumsum(axis=1)
+            flat_tail_mean[g_ia] = sums[rr, n_last[g_cnt]] / na
     return b.chosen, b.reward_seq
 
 
 def episode_mvlcb(rewards, rho, delta):
-    b = _Lockstep(rewards)
-    run_sum = np.zeros((b.runs, b.k))
-    m2 = np.zeros((b.runs, b.k))
+    rho, delta = _per_cell(rho, delta)
+    b = _Lockstep(rewards, len(rho))
+    log_inv_delta = _lanes([math.log(1.0 / d) for d in delta.tolist()], b.runs)
+    rho = _lanes(rho, b.runs)
+    five_rho = 5.0 + rho
+    run_sum = np.zeros((b.lanes, b.k))
+    m2 = np.zeros((b.lanes, b.k))
     flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
-    log_inv_delta = math.log(1.0 / delta)
     for t in range(1, b.horizon + 1):
         if t <= b.k:
             a = t - 1
         else:
-            width = (5.0 + rho) * np.sqrt(log_inv_delta / (2.0 * b.counts))
-            a = np.argmin(m2 / b.counts - rho * (run_sum / b.counts) - width, axis=1)
+            width = five_rho * np.sqrt(log_inv_delta / (2.0 * b.counts))
+            a = (m2 / b.counts - rho * (run_sum / b.counts) - width).argmin(axis=1)
         ia, cnt, x = b.pull(t, a)
         _welford(flat_sum, flat_m2, ia, cnt, x)
     return b.chosen, b.reward_seq
 
 
 def episode_expexp(rewards, rho, tau):
-    b = _Lockstep(rewards)
-    run_sum = np.zeros((b.runs, b.k))
-    m2 = np.zeros((b.runs, b.k))
+    rho, tau = _per_cell(rho, tau)
+    b = _Lockstep(rewards, len(rho))
+    rho = np.repeat(rho.astype(np.float64), b.runs)[:, None]
+    # a lane commits in round max(tau, k) + 1 (with tau < k it finishes the
+    # initialisation pass first); until then every lane pulls the arms in turn
+    commit_round = np.repeat(np.maximum(tau.astype(np.int64), b.k) + 1, b.runs)
+    due = {t: np.flatnonzero(commit_round == t) for t in set(commit_round.tolist())}
+    last = max(due)
+    run_sum = np.zeros((b.lanes, b.k))
+    m2 = np.zeros((b.lanes, b.k))
     flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
+    commits = []
     for t in range(1, b.horizon + 1):
-        # until the commit every run pulls the same arms, so counts agree across runs
-        if t <= tau:
-            a = (t - 1) % b.k
-        elif b.counts.min() == 0:  # tau < k: finish initialisation first
-            a = int(np.argmin(b.counts[0]))
-        else:
-            # commit for good: the rest of the episode is the arm's next pulls
-            a = np.argmin(m2 / b.counts - rho * (run_sum / b.counts), axis=1)
-            rr = np.arange(b.runs)[:, None]
-            u = b.counts[rr, a[:, None]] + np.arange(b.horizon - t + 1)
-            b.chosen[:, t - 1 :] = a[:, None]
-            b.reward_seq[:, t - 1 :] = rewards[rr, a[:, None], u]
-            break
-        ia, cnt, x = b.pull(t, a)
+        lanes = due.get(t)
+        if lanes is not None:
+            n = b.counts[lanes]
+            a = (m2[lanes] / n - rho[lanes] * (run_sum[lanes] / n)).argmin(axis=1)
+            commits.append((t, lanes, a, b.counts[lanes, a]))
+            if t == last:
+                break
+        ia, cnt, x = b.pull(t, (t - 1) % b.k)
         _welford(flat_sum, flat_m2, ia, cnt, x)
+    # a committed lane keeps exploring above, harmlessly: its records from its
+    # commit round on are written here, from its pull counts at the commit
+    for t, lanes, a, start in commits:
+        b.commit(t, lanes, a, start)
     return b.chosen, b.reward_seq

@@ -92,7 +92,13 @@ class TestRun:
         for stats in doc["policies"].values():
             assert isinstance(stats["mean_final_regret"], float)
             assert isinstance(stats["mean_final_regret_emp"], float)
-        assert set(doc["timing"]) == {"started_at", "wall_seconds"}
+        assert set(doc["timing"]) == {"started_at", "wall_seconds", "play"}
+        # one kernel call per (instance, policy)
+        assert {label: play["kernel_calls"] for label, play in doc["timing"]["play"].items()} == {
+            "ucb": 1,
+            "min": 1,
+        }
+        assert all(play["seconds"] >= 0.0 for play in doc["timing"]["play"].values())
 
     def test_rerun_byte_identical(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -215,6 +221,9 @@ class TestSweep:
         doc = json.loads((out / "sweep_summary.json").read_text())
         assert doc["command"] == "sweep"
         assert doc["cells"] == {"marab": 4, "min": 1}
+        # with k = 3 a call has room for the records of one cell only
+        assert doc["timing"]["play"]["marab"]["kernel_calls"] == 4
+        assert doc["timing"]["play"]["min"]["kernel_calls"] == 1
         assert doc["config"]["threads"] == 1
 
     def test_invalid_grid_value_exit_1(self, tmp_path, capsys):

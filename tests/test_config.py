@@ -1,5 +1,9 @@
+import copy
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbandit import ConfigError, ExpExp, MVLCB, MaRaB, UCB
 from riskbandit.config import (
@@ -254,3 +258,172 @@ class TestResolvedConfigDict:
         assert doc["policies"] == [
             {"policy": "marab", "label": "marab", "c": 0.001, "alpha": 0.2, "sweep": {"c": [0.1]}}
         ]
+
+
+# ---------------------------------------------------------------------------
+# property: every malformed document fails as a ConfigError naming its path
+
+_GENERATORS = {
+    "proof_of_concept": {"k": st.integers(2, 30), "mu_star": st.floats(0.4, 0.6)},
+    "mixture": {"k": st.integers(2, 30)},
+    "matrix": {"path": st.just("rewards.csv"), "rescale": st.booleans()},
+    "battery": {"n_arms": st.integers(2, 10), "n_realizations": st.integers(2, 50)},
+}
+_POLICY_PARAMS = {
+    "ucb": {"c": st.floats(0.001, 2.0)},
+    "min": {},
+    "marab": {"c": st.floats(0.0, 2.0), "alpha": st.floats(0.01, 0.9)},
+    "mvlcb": {"rho": st.floats(0.1, 2.0), "delta": st.one_of(st.just("auto"), st.floats(0.01, 0.5))},
+    "expexp": {"rho": st.floats(0.1, 2.0), "tau": st.one_of(st.just("auto"), st.integers(1, 50))},
+}
+_INT_KEYS = {"seed", "horizon", "runs", "instances", "k", "n_arms", "n_realizations", "tau"}
+_BOOL_KEYS = {"rescale"}
+_STR_KEYS = {"out", "label", "path"}
+_ENUM_KEYS = {"format", "generator", "policy"}
+
+
+@st.composite
+def _params(draw, strategies):
+    keys = draw(st.lists(st.sampled_from(sorted(strategies)), unique=True)) if strategies else []
+    return {key: draw(strategies[key]) for key in keys}
+
+
+@st.composite
+def valid_docs(draw):
+    generator = draw(st.sampled_from(sorted(_GENERATORS)))
+    problem = {"generator": generator, **draw(_params(_GENERATORS[generator]))}
+    if generator == "matrix":
+        problem["path"] = "rewards.csv"
+    policies = []
+    for i in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(_POLICY_PARAMS)))
+        entry = {"policy": kind, "label": f"lab_{'abc'[i]}", **draw(_params(_POLICY_PARAMS[kind]))}
+        sweepable = sorted(_POLICY_PARAMS[kind])
+        if sweepable and draw(st.booleans()):
+            key = draw(st.sampled_from(sweepable))
+            values = st.integers(1, 50) if key == "tau" else st.floats(0.01, 0.5)
+            entry["sweep"] = {key: draw(st.lists(values, min_size=1, max_size=3))}
+        policies.append(entry)
+    doc = {
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "horizon": draw(st.integers(1, 500)),
+        "runs": draw(st.integers(1, 10)),
+        "problem": problem,
+        "policies": policies,
+    }
+    for key, strategy in (
+        ("instances", st.integers(1, 5)),
+        ("out", st.just("results_dir")),
+        ("format", st.sampled_from(["csv", "json"])),
+    ):
+        if draw(st.booleans()):
+            doc[key] = draw(strategy)
+    return doc
+
+
+def _nodes(node, path=""):
+    """``(path, container, key)`` of every node below ``node``, paths as the parser prints them."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(node, dict):
+            child = f"{path}.{key}" if path else str(key)
+        else:
+            child = f"{path}[{key}]"
+        yield child, node, key
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, child)
+
+
+def _leaf_key(path):
+    return path.rsplit(".", 1)[-1].split("[", 1)[0]
+
+
+def _bad_values(path, value):
+    """Values that are wrong for the node at ``path`` (type, enum or range)."""
+    key = _leaf_key(path)
+    if isinstance(value, dict):
+        return [None, 3, "xyz", [1]]
+    if isinstance(value, list):
+        # policies and sweep value lists must be non-empty lists
+        return [None, 3, "xyz", {}, []]
+    if key in _INT_KEYS:
+        bad = [None, "xyz", [], {}, 1.5, True]
+        return bad + ([-1, 2**64] if key == "seed" else [0, -3] if key in {"horizon", "runs", "instances"} else [])
+    if key in _BOOL_KEYS:
+        return [None, 1, "xyz", []]
+    if key in _STR_KEYS:
+        return [None, 1, [], {}, True] + ([""] if key != "path" else [])
+    if key in _ENUM_KEYS:
+        return ["xyz", None, 1, [], {"a": 1}]
+    # float parameters, "auto" where allowed
+    return [None, "xyz", [], {}, True, 10**400]
+
+
+# a key, then ``.key`` or ``[index]`` steps, then ": "; keys may be empty
+DOTTED_PATH = re.compile(r"^\w*(\[\d+\])*(\.\w*(\[\d+\])*)*: ")
+
+
+def _assert_path_error(doc, path):
+    with pytest.raises(ConfigError) as info:
+        parse_experiment_dict(doc)
+    message = str(info.value)
+    assert DOTTED_PATH.match(message), message
+    assert message.startswith(path), (path, message)
+
+
+_FUZZ = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text("xyz", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("xyz", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedSpecs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(doc=valid_docs(), data=st.data())
+    def test_bad_value_names_its_path(self, doc, data):
+        parse_experiment_dict(copy.deepcopy(doc))  # the base document is valid
+        path, container, key = data.draw(st.sampled_from(list(_nodes(doc))))
+        container[key] = data.draw(st.sampled_from(_bad_values(path, container[key])))
+        _assert_path_error(doc, path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(doc=valid_docs(), data=st.data())
+    def test_unknown_key_at_any_depth(self, doc, data):
+        mappings = [("", doc)] + [(p, c[k]) for p, c, k in _nodes(doc) if isinstance(c[k], dict)]
+        path, mapping = data.draw(st.sampled_from(mappings))
+        mapping["zz_unknown"] = 1
+        _assert_path_error(doc, f"{path}.zz_unknown" if path else "zz_unknown")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(doc=valid_docs(), data=st.data())
+    def test_missing_required_key(self, doc, data):
+        required = [("", doc, key) for key in ("seed", "horizon", "runs", "problem", "policies")]
+        required.append(("problem", doc["problem"], "generator"))
+        required += [(f"policies[{i}]", p, "policy") for i, p in enumerate(doc["policies"])]
+        path, mapping, key = data.draw(st.sampled_from(required))
+        del mapping[key]
+        _assert_path_error(doc, f"{path}.{key}" if path else key)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(doc=valid_docs(), data=st.data(), value=_FUZZ)
+    def test_any_replacement_parses_or_names_a_path(self, doc, data, value):
+        path, container, key = data.draw(st.sampled_from(list(_nodes(doc))))
+        container[key] = value
+        try:
+            parse_experiment_dict(doc)
+        except ConfigError as err:
+            # the error lies in the replaced node or, for a changed policy or
+            # generator name, beside it
+            parent = path.rsplit(".", 1)[0] if "." in path else path.split("[", 1)[0]
+            assert DOTTED_PATH.match(str(err)), str(err)
+            assert str(err).startswith(parent), (path, str(err))
+
+    def test_number_too_large_for_a_float(self):
+        doc = minimal_doc(policies=[{"policy": "ucb", "c": 10**400}])
+        _assert_path_error(doc, "policies[0].c: ")
+
+    @pytest.mark.parametrize("doc", [None, 3, "seed: 1", [1, 2], 1.5])
+    def test_non_mapping_document(self, doc):
+        with pytest.raises(ConfigError, match=r"^<spec>: expected a mapping"):
+            parse_experiment_dict(doc)

@@ -144,6 +144,20 @@ TWO_BUMP_MIX = TruncatedGaussianMixture(
 LOW_BUMP_MIX = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(-0.2,), stds=(0.12,))
 
 
+def _whole_block_sample(mix, rng, n, block=8192):
+    """Rejection sampling that draws every block in full: the component picks
+    for the block, then its normals, keeping accepted draws in attempt order."""
+    means, stds = np.asarray(mix.means), np.asarray(mix.stds)
+    cum = np.cumsum(np.asarray(mix.weights))
+    cum[-1] = 1.0
+    out = []
+    while len(out) < n:
+        comp = np.searchsorted(cum, rng.random(block), side="right")
+        draws = means[comp] + stds[comp] * rng.standard_normal(block)
+        out.extend(draws[(draws >= mix.floor) & (draws <= 1.0)])
+    return np.array(out[:n], dtype=np.float64)
+
+
 class TestTruncatedGaussianMixture:
     def test_validation(self):
         with pytest.raises(ValueError, match="floor"):
@@ -241,6 +255,15 @@ class TestTruncatedGaussianMixture:
             analytic_mean(DEGENERATE_MIX)
         with pytest.raises(DegenerateMixtureError):
             BanditProblem.from_arms([TWO_BUMP_MIX, DEGENERATE_MIX])
+
+    @pytest.mark.parametrize("mix", [TWO_BUMP_MIX, LOW_BUMP_MIX], ids=["two_bump", "low_bump"])
+    @pytest.mark.parametrize("n", [0, 1, 500, 2000, 9000, 30_000])
+    def test_rows_equal_whole_block_reference(self, mix, n):
+        # LOW_BUMP_MIX accepts about 5% of attempts, so its rows span blocks
+        # from 500 values on; TWO_BUMP_MIX's rows do from 9000 on
+        for seed in range(3):
+            want = _whole_block_sample(mix, make_rng(seed), n)
+            assert np.array_equal(sample_many(mix, make_rng(seed), n), want)
 
     def test_from_components(self):
         mix = TruncatedGaussianMixture.from_components(0.01, [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3)])

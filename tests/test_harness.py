@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskbandit import (
     ConfigError,
@@ -17,7 +20,17 @@ from riskbandit import (
     sorted_reward_cdf,
     sweep,
 )
-from riskbandit.harness import RegretTotals, draw_reward_table, draw_tables
+from riskbandit.config import load_experiment_spec, resolve_policy
+from riskbandit.harness import (
+    RegretTotals,
+    draw_reward_table,
+    draw_tables,
+    expand_grid,
+    pack_cells,
+)
+from riskbandit.kernels import tail_sizes
+
+ALPHA_SWEEP_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "alpha_sweep.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +269,84 @@ class TestSweep:
     def test_unknown_parameter_rejected(self, small_cfg):
         with pytest.raises(ConfigError, match="unknown sweep parameter"):
             sweep(small_cfg, {"alpha": [0.1]})  # UCB has no alpha
+
+
+def _cell_floats(policy, shape):
+    """A cell's MaRaB sorted rows and per-round records, in floats."""
+    runs, k, horizon = shape
+    rows = 0
+    if policy.kind == "marab":
+        L = int(tail_sizes(policy.alpha, horizon)[-1])
+        # a one-reward tail is a running minimum and keeps no buffer
+        rows = 0 if L == 1 else runs * k * (L + 1)
+    return rows, 2 * runs * horizon
+
+
+class TestPackCells:
+    def test_sweep_keeps_grid_order_across_calls(self, small_cfg):
+        import dataclasses
+
+        base = dataclasses.replace(small_cfg, policy=MaRaB(c=0.001, alpha=0.2), n_runs=2)
+        grid = {"c": [0.0, 1.0], "alpha": [0.01, 0.999, 0.3]}
+        cells = sweep(base, grid)
+        assert [c.params for c in cells] == [params for params, _ in expand_grid(base, grid)]
+        calls = [c.kernel_call for c in cells]
+        assert calls == sorted(calls)
+        # an alpha = 0.999 cell exceeds the sorted-rows bound on its own
+        assert len(set(calls)) > 1
+        for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
+            finals = np.array([led.regret[-1] for led in run_many(cfg)])
+            assert cell.mean_final_regret == finals.mean()
+            assert cell.std_final_regret == finals.std()
+
+    def test_oversized_cell_runs_alone(self):
+        # budget 2 * 10 * 10 = 200 floats; alpha = 0.999 keeps L = 10, so its
+        # 2 * 10 * 11 = 220 sorted floats exceed the bound on their own
+        small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
+        assert pack_cells([small, small, big, small], (2, 10, 10)) == [2, 1, 1]
+        assert pack_cells([big], (2, 10, 10)) == [1]
+        assert pack_cells([big, big], (2, 10, 10)) == [1, 1]
+
+    def test_records_bound_cells_without_sorted_rows(self):
+        # two (runs, horizon) records per cell: k / 2 cells fill the budget
+        assert pack_cells([UCB(c=0.5)] * 7, (3, 4, 50)) == [2, 2, 2, 1]
+        assert pack_cells([MIN()], (3, 4, 50)) == [1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
+        shape=st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)),
+    )
+    def test_no_call_breaks_a_bound(self, alphas, shape):
+        policies = [MaRaB(c=0.0, alpha=a) for a in alphas]
+        sizes = pack_cells(policies, shape)
+        assert sum(sizes) == len(policies) and min(sizes) >= 1
+        budget = shape[0] * shape[1] * shape[2]
+        start = 0
+        for size in sizes:
+            call = [_cell_floats(p, shape) for p in policies[start : start + size]]
+            start += size
+            if size > 1:
+                assert sum(rows for rows, _ in call) <= budget
+                assert sum(records for _, records in call) <= budget
+            # a call ends only where the next cell would break a bound
+            if start < len(policies):
+                rows, records = _cell_floats(policies[start], shape)
+                assert (
+                    sum(r for r, _ in call) + rows > budget
+                    or sum(r for _, r in call) + records > budget
+                )
+
+    def test_alpha_sweep_spec_packs_six_one_one(self):
+        spec = load_experiment_spec(ALPHA_SWEEP_SPEC)
+        entry = spec.policies[0]
+        k = spec.problem.params["k"]
+        base = RunConfig(
+            problem=gen_proof_of_concept(k=k),
+            policy=resolve_policy(entry, k, spec.horizon),
+            horizon=spec.horizon,
+            seed=spec.seed,
+            n_runs=spec.runs,
+        )
+        policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep)]
+        assert pack_cells(policies, (spec.runs, k, spec.horizon)) == [6, 1, 1]

@@ -128,6 +128,69 @@ class TestKernelProperties:
         check()
 
 
+# per-cell parameters for packed calls: MaRaB alphas run from
+# alpha * horizon <= 1 (horizon <= 120) to 0.999, and c = 0 is included
+PACKED_STRATEGIES = {
+    "ucb": st.builds(UCB, c=_positive),
+    "marab": st.builds(
+        MaRaB,
+        c=st.one_of(st.just(0.0), _weight),
+        alpha=st.one_of(st.floats(1e-4, 1 / 120), st.floats(0.005, 0.05), _unit, st.just(0.999)),
+    ),
+    "mvlcb": st.builds(MVLCB, rho=_positive, delta=_unit),
+    "expexp": st.builds(ExpExp, rho=_positive, tau=st.integers(1, 130)),
+}
+
+
+@st.composite
+def packed_cells(draw, kind):
+    """Up to five cells drawn from a pool of up to three policies, so cells
+    repeat and equal parameters need not be adjacent."""
+    pool = draw(st.lists(PACKED_STRATEGIES[kind], min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+class TestPackedCalls:
+    @pytest.mark.parametrize("kind", sorted(PACKED_STRATEGIES))
+    def test_every_lane_equals_object_layer(self, kind):
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(batch=tied_tables(), cells=packed_cells(kind))
+        def check(batch, cells):
+            runs = len(batch)
+            chosen, rewards = _play(batch, *cells)
+            assert chosen.shape == rewards.shape == (len(cells) * runs, batch.shape[2])
+            for i, policy in enumerate(cells):
+                lanes = slice(i * runs, (i + 1) * runs)
+                assert_runs_match_reference(batch, policy, chosen[lanes], rewards[lanes])
+
+        check()
+
+    @pytest.mark.parametrize("c", [0.05, 0.2])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_each_alpha_keeps_its_own_log_term(self, k, c):
+        # the exploration term's log(ceil(t * alpha)) steps at different rounds
+        # for each alpha; with a small c the step decides some pulls
+        rng = np.random.default_rng(k)
+        cells = [MaRaB(c=c, alpha=0.05), MaRaB(c=c, alpha=0.3), MaRaB(c=c, alpha=0.05)]
+        for _ in range(5):
+            batch = rng.random((2, k, 200))
+            chosen, rewards = _play(batch, *cells)
+            for i, policy in enumerate(cells):
+                lanes = slice(2 * i, 2 * i + 2)
+                assert_runs_match_reference(batch, policy, chosen[lanes], rewards[lanes])
+
+    def test_cells_do_not_share_state(self, tables):
+        # a packed call returns, cell by cell, what one-cell calls return
+        batch = tables[0]
+        cells = [MaRaB(c=0.0, alpha=0.5), MaRaB(c=1.0, alpha=0.01), MaRaB(c=0.0, alpha=0.5)]
+        chosen, rewards = _play(batch, *cells)
+        runs = len(batch)
+        for i, policy in enumerate(cells):
+            alone_chosen, alone_rewards = _play(batch, policy)
+            assert np.array_equal(chosen[i * runs : (i + 1) * runs], alone_chosen)
+            assert np.array_equal(rewards[i * runs : (i + 1) * runs], alone_rewards)
+
+
 class TestKernelBehaviour:
     def test_init_pass_round_robin(self, tables):
         batch = tables[0]
