@@ -45,6 +45,7 @@ from .harness import (
     aggregate_regret,
     draw_tables,
     expand_grid,
+    pack_cells,
     run_many,
     sorted_final_regret,
     sorted_reward_cdf,
@@ -269,16 +270,18 @@ def cmd_sweep(args) -> int:
     ]
     # every cell of every policy is validated before the first one runs, so a
     # bad grid value leaves no partial output behind
-    for entry, base in zip(spec.policies, bases):
-        expand_grid(base, entry.sweep or {})
+    grid_policies = [
+        [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
+        for entry, base in zip(spec.policies, bases)
+    ]
     tables = draw_tables(bases[0])
     cell_counts = {}
     play = {}
-    for entry, base in zip(spec.policies, bases):
+    for entry, base, policies in zip(spec.policies, bases, grid_policies):
         grid = entry.sweep or {}
         start = time.perf_counter()
         cells = sweep(base, grid, tables)
-        play[entry.label] = (cells[-1].kernel_call + 1, time.perf_counter() - start)
+        play[entry.label] = (len(pack_cells(policies, tables.shape)), time.perf_counter() - start)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{_sanitize(entry.label)}",

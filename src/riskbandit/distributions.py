@@ -152,12 +152,14 @@ def sample_many(spec: ArmSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     * ``EmpiricalResample`` consumes one bounded integer per draw.
     * ``TruncatedGaussianMixture`` consumes uniforms and normals in fixed-size
       attempt blocks (component picks for a whole block, then normals for the
-      block), keeping accepted draws in attempt order.  The output is a
-      deterministic function of the spec, the generator state, and ``n``.
-      The block that fills the output stops drawing normals once it is full,
-      so the generator's state after the call is not part of the contract:
-      draw nothing else from a generator after a mixture sample whose values
-      must stay reproducible.
+      block), keeping accepted draws in attempt order.  The block that fills
+      the output draws its normals only up to the end of the chunk of
+      ``_REJECTION_CHUNK`` attempts in which the ``n``-th value is accepted.
+      The output is a deterministic function of the spec, the generator
+      state, and ``n``; the values are those of drawing whole blocks, but
+      the generator ends in a different state, so later draws from it (a
+      second ``sample_many``, repeated :func:`sample` calls) differ from
+      releases that drew whole blocks.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")

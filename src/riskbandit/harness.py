@@ -118,11 +118,15 @@ def draw_tables(cfg: RunConfig) -> np.ndarray:
 
 
 def _play(tables: np.ndarray, *policies: PolicyConfig):
-    """Play every run of ``tables`` under each of ``policies``, cells of one
-    kind, in one kernel call: lane ``cell * runs + r`` plays run ``r``."""
-    # kernel parameters are named after the policy's fields, one value per cell
+    """Play every run of ``tables`` under each of ``policies`` in one kernel
+    call: lane ``cell * runs + r`` plays run ``r``.  Several policies must
+    be MaRaB cells (see :func:`pack_cells`)."""
+    # kernel parameters are named after the policy's fields: a value, or one
+    # value per cell
     kernel = getattr(kernels, f"episode_{policies[0].kind}")
     names = [f.name for f in dataclasses.fields(policies[0])]
+    if len(policies) == 1:
+        return kernel(tables, **{n: getattr(policies[0], n) for n in names})
     return kernel(tables, **{n: [getattr(p, n) for p in policies] for n in names})
 
 
@@ -259,17 +263,12 @@ def sorted_final_regret(per_instance_regrets: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """Aggregate of one grid cell: the overridden parameters and final regrets.
-
-    ``kernel_call`` numbers the kernel call, within the sweep, that played
-    the cell (see :func:`pack_cells`).
-    """
+    """Aggregate of one grid cell: the overridden parameters and final regrets."""
 
     params: dict
     mean_final_regret: float
     mean_final_regret_emp: float
     std_final_regret: float
-    kernel_call: int = 0
 
 
 def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
@@ -303,23 +302,24 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
 def pack_cells(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[int]:
     """How many of ``policies``, in order, each kernel call of a sweep plays.
 
-    ``shape`` is the shared ``(runs, k, horizon)`` reward array's.  A call
-    takes the next cell only while two things each stay within that array's
-    size: its MaRaB sorted rows (``runs * k`` rows of
+    ``shape`` is the shared ``(runs, k, horizon)`` reward array's.  Only
+    MaRaB cells share a call; every other kind plays one cell per call.  A
+    call takes the next cell only while two things each stay within that
+    array's size: its sorted rows (``runs * k`` rows of
     :func:`~riskbandit.kernels.buffer_width` floats per cell) and its
-    per-round records (two ``(runs, horizon)`` arrays per cell).  A call always takes at least one cell; a cell that exceeds a
-    bound on its own plays alone, as it would unpacked.
+    per-round records (two ``(runs, horizon)`` arrays per cell).  A call
+    always takes at least one cell; a cell that exceeds a bound on its own
+    plays alone, as it would unpacked.
     """
     runs, k, horizon = shape
     budget = runs * k * horizon
     sizes: list[int] = []
     rows = records = 0
     for policy in policies:
-        cell_rows = 0
-        if policy.kind == "marab":
-            cell_rows = runs * k * kernels.buffer_width(policy.alpha, horizon)
+        packable = policy.kind == "marab"
+        cell_rows = runs * k * kernels.buffer_width(policy.alpha, horizon) if packable else 0
         cell_records = 2 * runs * horizon
-        if sizes and rows + cell_rows <= budget and records + cell_records <= budget:
+        if sizes and packable and rows + cell_rows <= budget and records + cell_records <= budget:
             sizes[-1] += 1
             rows += cell_rows
             records += cell_records
@@ -341,13 +341,13 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
     tables = _tables(base, tables)
     results = []
     start = 0
-    for call, size in enumerate(pack_cells([cfg.policy for _, cfg in cells], tables.shape)):
-        results += _play_cells(tables, cells[start : start + size], call)
+    for size in pack_cells([cfg.policy for _, cfg in cells], tables.shape):
+        results += _play_cells(tables, cells[start : start + size])
         start += size
     return results
 
 
-def _play_cells(tables: np.ndarray, cells: list[tuple[dict, RunConfig]], call: int) -> list[SweepCell]:
+def _play_cells(tables: np.ndarray, cells: list[tuple[dict, RunConfig]]) -> list[SweepCell]:
     """Play ``cells`` as the lanes of one kernel call and aggregate each one.
 
     The call's records are dropped on return, before the next call starts.
@@ -366,7 +366,6 @@ def _play_cells(tables: np.ndarray, cells: list[tuple[dict, RunConfig]], call: i
                 mean_final_regret=float(finals.mean()),
                 mean_final_regret_emp=float(finals_emp.mean()),
                 std_final_regret=float(finals.std()),
-                kernel_call=call,
             )
         )
     return results

@@ -7,31 +7,33 @@ front keeps the kernels free of RNG state, and one array serves every
 policy and every sweep cell of a batch, so they are compared on identical
 rewards.
 
-A call plays one or more *cells*: the policy's parameters are given per
-cell, as scalars (one cell) or equal-length sequences.  Lane
-``cell * runs + r`` plays run ``r``'s table with its cell's parameters; the
-table is read through an offset in one flat gather, never copied.  Kernels
-return ``(chosen, reward_seq)``, both of shape ``(cells * runs, horizon)``:
-in the 1-based round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and
-observed ``reward_seq[l, t-1]``.
+A call plays every run of the array as one *lane* each.  :func:`episode_marab`
+can also play several sweep cells in one call: its ``c`` and ``alpha`` are
+then equal-length sequences, one value per cell, and lane ``cell * runs + r``
+plays run ``r``'s table with its cell's parameters; the table is read
+through an offset in one flat gather, never copied.  Kernels return
+``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the 1-based
+round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
+``reward_seq[l, t-1]``.
 
-Per-arm statistics live in ``(lanes, k)`` arrays and each parameter in a
-``(lanes, 1)`` column.  Each round computes every lane's and every arm's
-index in one elementwise array expression, picks each lane's arm with
-``argmax`` / ``argmin`` along ``axis=1`` (whose first-extremum rule is
-the lowest-index tie-break of :func:`riskbandit.policies.select_arm`), and
-fetches every lane's reward with one flat fancy index.  The arithmetic
-mirrors :mod:`riskbandit.estimators` and :mod:`riskbandit.policies`
-operation for operation (``math.log`` of the round and of every cell's
-``1/delta`` and tail size, the same running-sum means, the same guarded
-ceil, tail sums added left to right), and elementwise float64 operations
-round exactly as their scalar counterparts, so every lane reproduces the
-object-layer episode on its own rewards bit for bit.
+Per-arm statistics live in ``(lanes, k)`` arrays.  Each round computes every
+lane's and every arm's index in one elementwise array expression, picks each
+lane's arm with ``argmax`` / ``argmin`` along ``axis=1`` (whose
+first-extremum rule is the lowest-index tie-break of
+:func:`riskbandit.policies.select_arm`), and fetches every lane's reward
+with one flat fancy index.  The arithmetic mirrors
+:mod:`riskbandit.estimators` and :mod:`riskbandit.policies` operation for
+operation (``math.log`` of the round, of ``1/delta`` and of every tail size,
+the same running-sum means, the same guarded ceil, tail sums added left to
+right), and elementwise float64 operations round exactly as their scalar
+counterparts, so every lane reproduces the object-layer episode on its own
+rewards bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from ._util import CEIL_EPS
@@ -54,22 +56,6 @@ def buffer_width(alpha: float, horizon: int) -> int:
     """
     L = int(tail_sizes(alpha, horizon)[-1])
     return 0 if L == 1 else L + 1
-
-
-def _per_cell(*params):
-    """Per-cell parameters (scalars or equal-length sequences) as 1-D arrays."""
-    return np.broadcast_arrays(*(np.atleast_1d(p) for p in params))
-
-
-def _lanes(values, runs):
-    """A per-cell parameter as a ``(lanes, 1)`` float column, lane ``cell * runs + r``.
-
-    With one cell it stays a scalar, which numpy multiplies faster than a
-    broadcast column.
-    """
-    if len(values) == 1:
-        return float(values[0])
-    return np.repeat(np.asarray(values, dtype=np.float64), runs)[:, None]
 
 
 class _Lockstep:
@@ -103,14 +89,6 @@ class _Lockstep:
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x
 
-    def commit(self, t, lanes, a, start):
-        """From round ``t`` on, ``lanes`` pull arms ``a`` for good: their records
-        become each arm's rewards from pull ``start`` on."""
-        u = start[:, None] + np.arange(self.horizon - t + 1)
-        table_ia = (lanes % self.runs) * self.k + a
-        self.chosen[lanes, t - 1 :] = a[:, None]
-        self.reward_seq[lanes, t - 1 :] = self.flat[(table_ia * self.horizon)[:, None] + u]
-
 
 def _welford(run_sum, m2, ia, cnt, x):
     # the ArmStats.update order: previous mean, sum, count, then the deviation;
@@ -124,9 +102,7 @@ def _welford(run_sum, m2, ia, cnt, x):
 
 
 def episode_ucb(rewards, c):
-    (c,) = _per_cell(c)
-    b = _Lockstep(rewards, len(c))
-    c = _lanes(c, b.runs)
+    b = _Lockstep(rewards)
     run_sum = np.zeros((b.lanes, b.k))
     flat_sum = run_sum.reshape(-1)
     for t in range(1, b.horizon + 1):
@@ -151,37 +127,41 @@ def episode_min(rewards):
 
 
 def episode_marab(rewards, c, alpha):
-    c, alpha = _per_cell(c, alpha)
+    """``c`` and ``alpha`` are scalars (one cell) or one value per cell."""
+    c, alpha = np.broadcast_arrays(np.atleast_1d(c), np.atleast_1d(alpha))
     b = _Lockstep(rewards, len(c))
-    c = _lanes(c, b.runs)
+    # c as a (lanes, 1) column; with one cell a float, which numpy multiplies
+    # faster than a broadcast column
+    c = float(c[0]) if len(c) == 1 else np.repeat(c.astype(np.float64), b.runs)[:, None]
     lane_alpha = np.repeat(alpha, b.runs)
+    alphas = dict.fromkeys(alpha.tolist())
     # only the pulled arm's tail changes, so each arm's tail size and tail mean
     # are kept and refreshed after its pulls rather than rebuilt every round
     n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
     tail_mean = np.zeros((b.lanes, b.k))
     flat_n_alpha, flat_tail_mean = n_alpha.reshape(-1), tail_mean.reshape(-1)
-    alphas = dict.fromkeys(alpha.tolist())
-    # log of each lane's tail size at the current round; a scalar while every
-    # lane has the same alpha
-    log_tail = 0.0 if len(alphas) == 1 else np.zeros((b.lanes, 1))
-    tail_logs = []
+    # log_tail[t] is the log of every lane's tail size at round t: a float
+    # while all lanes share one alpha, else a (lanes, 1) column
+    logs = {value: list(map(math.log, tail_sizes(value, b.horizon).tolist())) for value in alphas}
+    if len(alphas) == 1:
+        (log_tail,) = logs.values()
+    else:
+        cell_logs = np.array([logs[value] for value in alpha.tolist()])
+        log_tail = np.ascontiguousarray(np.repeat(cell_logs, b.runs, axis=0).T)[:, :, None]
     # lanes of one alpha share a sorted buffer: no tail ever holds more than
     # L rewards, so each (lane, arm) keeps only its L lowest, sorted and
     # padded with inf; column L takes the reward a full row pushes out
     groups = []
     for value in alphas:
         lanes = np.flatnonzero(lane_alpha == value)
-        n_tail = tail_sizes(value, b.horizon)
-        L = int(n_tail[-1])
-        if len(alphas) == 1:
-            sel = base = None
-        elif lanes[-1] - lanes[0] + 1 == len(lanes):
-            sel = slice(lanes[0], lanes[-1] + 1)
-            base = int(lanes[0]) * b.k or None
-        else:
+        # with several alphas a group picks its lanes by index, and a lane's
+        # buffer row is its flat (lane, arm) index less k per lane of other
+        # alphas before it; a lone alpha's group is every lane, as it stands
+        sel = base = None
+        if len(alphas) > 1:
             sel = lanes
             base = (lanes - np.arange(len(lanes))) * b.k
-        tail_logs.append((sel, list(map(math.log, n_tail.tolist()))))
+        n_tail = tail_sizes(value, b.horizon)
         width = buffer_width(value, b.horizon)
         if width:
             low = np.full((len(lanes) * b.k, width), np.inf)
@@ -191,17 +171,12 @@ def episode_marab(rewards, c, alpha):
             low = None
         # tail size, and its last index, after a pull at each pull count
         n_next = n_tail[1:]
-        groups.append((sel, base, n_next, n_next - 1, L, low, np.arange(len(lanes))))
+        groups.append((sel, base, n_next, n_next - 1, int(n_tail[-1]), low, np.arange(len(lanes))))
     for t in range(1, b.horizon + 1):
-        for sel, logs in tail_logs:
-            if sel is None:
-                log_tail = logs[t]
-            else:
-                log_tail[sel] = logs[t]
         if t <= b.k:
             a = t - 1
         else:
-            a = (tail_mean - c * np.sqrt(log_tail / n_alpha)).argmax(axis=1)
+            a = (tail_mean - c * np.sqrt(log_tail[t] / n_alpha)).argmax(axis=1)
         ia, cnt, x = b.pull(t, a)
         for sel, base, n_next, n_last, L, low, rr in groups:
             g_ia, g_cnt, g_x = (ia, cnt, x) if sel is None else (ia[sel], cnt[sel], x[sel])
@@ -229,19 +204,16 @@ def episode_marab(rewards, c, alpha):
 
 
 def episode_mvlcb(rewards, rho, delta):
-    rho, delta = _per_cell(rho, delta)
-    b = _Lockstep(rewards, len(rho))
-    log_inv_delta = _lanes([math.log(1.0 / d) for d in delta.tolist()], b.runs)
-    rho = _lanes(rho, b.runs)
-    five_rho = 5.0 + rho
+    b = _Lockstep(rewards)
     run_sum = np.zeros((b.lanes, b.k))
     m2 = np.zeros((b.lanes, b.k))
     flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
+    log_inv_delta = math.log(1.0 / delta)
     for t in range(1, b.horizon + 1):
         if t <= b.k:
             a = t - 1
         else:
-            width = five_rho * np.sqrt(log_inv_delta / (2.0 * b.counts))
+            width = (5.0 + rho) * np.sqrt(log_inv_delta / (2.0 * b.counts))
             a = (m2 / b.counts - rho * (run_sum / b.counts) - width).argmin(axis=1)
         ia, cnt, x = b.pull(t, a)
         _welford(flat_sum, flat_m2, ia, cnt, x)
@@ -249,30 +221,24 @@ def episode_mvlcb(rewards, rho, delta):
 
 
 def episode_expexp(rewards, rho, tau):
-    rho, tau = _per_cell(rho, tau)
-    b = _Lockstep(rewards, len(rho))
-    rho = np.repeat(rho.astype(np.float64), b.runs)[:, None]
-    # a lane commits in round max(tau, k) + 1 (with tau < k it finishes the
-    # initialisation pass first); until then every lane pulls the arms in turn
-    commit_round = np.repeat(np.maximum(tau.astype(np.int64), b.k) + 1, b.runs)
-    due = {t: np.flatnonzero(commit_round == t) for t in set(commit_round.tolist())}
-    last = max(due)
+    b = _Lockstep(rewards)
     run_sum = np.zeros((b.lanes, b.k))
     m2 = np.zeros((b.lanes, b.k))
     flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
-    commits = []
     for t in range(1, b.horizon + 1):
-        lanes = due.get(t)
-        if lanes is not None:
-            n = b.counts[lanes]
-            a = (m2[lanes] / n - rho[lanes] * (run_sum[lanes] / n)).argmin(axis=1)
-            commits.append((t, lanes, a, b.counts[lanes, a]))
-            if t == last:
-                break
-        ia, cnt, x = b.pull(t, (t - 1) % b.k)
+        # until the commit every run pulls the same arms, so counts agree across runs
+        if t <= tau:
+            a = (t - 1) % b.k
+        elif b.counts.min() == 0:  # tau < k: finish initialisation first
+            a = int(b.counts[0].argmin())
+        else:
+            # commit for good: the rest of the episode is the arm's next pulls
+            a = (m2 / b.counts - rho * (run_sum / b.counts)).argmin(axis=1)
+            rr = np.arange(b.runs)[:, None]
+            u = b.counts[rr, a[:, None]] + np.arange(b.horizon - t + 1)
+            b.chosen[:, t - 1 :] = a[:, None]
+            b.reward_seq[:, t - 1 :] = rewards[rr, a[:, None], u]
+            break
+        ia, cnt, x = b.pull(t, a)
         _welford(flat_sum, flat_m2, ia, cnt, x)
-    # a committed lane keeps exploring above, harmlessly: its records from its
-    # commit round on are written here, from its pull counts at the commit
-    for t, lanes, a, start in commits:
-        b.commit(t, lanes, a, start)
     return b.chosen, b.reward_seq

@@ -106,10 +106,10 @@ def min_tail_check_any(
     The event is "some arm's ``t``-sample minimum sits ``epsilon`` above that
     arm's infimum".  Streams are consumed arm by arm (arm 0 first), chunked
     over trials within each arm.  The package only calls this on uniform
-    arms; a mixture arm's draws leave the generator in a state that
-    :func:`~riskbandit.distributions.sample_many` does not fix, so on a
-    problem with mixture arms the draws after the first mixture chunk may
-    change between releases.
+    arms.  A mixture arm's sample stops drawing at the chunk of attempts
+    that fills it (see :func:`~riskbandit.distributions.sample_many`), so
+    on a problem with mixture arms the draws after the first mixture chunk
+    differ from releases that drew whole attempt blocks.
     """
     if problem.lower_bound_A is None:
         raise ValueError("problem has no density floor; the union tail bound needs one")

@@ -224,6 +224,23 @@ class TestSweep:
         # with k = 3 a call has room for the records of one cell only
         assert doc["timing"]["play"]["marab"]["kernel_calls"] == 4
         assert doc["timing"]["play"]["min"]["kernel_calls"] == 1
+
+    def test_kernel_calls_count_packed_cells(self, tmp_path):
+        # with k = 8 the records of four MaRaB cells fit in the reward array's
+        # size, and alpha * horizon <= 1 keeps no sorted rows; UCB cells are
+        # never packed
+        path = tmp_path / "sweep.yaml"
+        path.write_text(
+            SWEEP_TEXT.replace("k: 3", "k: 8")
+            .replace("alpha: [0.1, 0.4]", "alpha: [0.01, 0.02]")
+            .replace("  - policy: min\n", "  - policy: ucb\n    sweep: {c: [0.1, 0.5]}\n")
+        )
+        out = tmp_path / "results"
+        assert main(["sweep", "--spec", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "sweep_summary.json").read_text())
+        assert doc["cells"] == {"marab": 4, "ucb": 2}
+        calls = {label: play["kernel_calls"] for label, play in doc["timing"]["play"].items()}
+        assert calls == {"marab": 1, "ucb": 2}
         assert doc["config"]["threads"] == 1
 
     def test_invalid_grid_value_exit_1(self, tmp_path, capsys):

@@ -142,6 +142,20 @@ TWO_BUMP_MIX = TruncatedGaussianMixture(
 # mass(x) rounds to mass(1) for x just below 1, and the total mass of about
 # 0.05 makes alpha * mass(1) underflow to 0 at the smallest positive alpha
 LOW_BUMP_MIX = TruncatedGaussianMixture(floor=0.0, weights=(1.0,), means=(-0.2,), stds=(0.12,))
+# TestTruncatedGaussianMixture.test_repeated_draws_pinned: four sample()
+# calls then two 3-value rows, on make_rng(17)
+PINNED_MIXTURE_DRAWS = [
+    0.6448973855978433,
+    0.8855189281582783,
+    0.21043067465449833,
+    0.13643566117449027,
+    0.9638651304044616,
+    0.7634998532091439,
+    0.6799145674907324,
+    0.07854282035703197,
+    0.0189847657841459,
+    0.021191392827105304,
+]
 
 
 def _whole_block_sample(mix, rng, n, block=8192):
@@ -156,6 +170,30 @@ def _whole_block_sample(mix, rng, n, block=8192):
         draws = means[comp] + stds[comp] * rng.standard_normal(block)
         out.extend(draws[(draws >= mix.floor) & (draws <= 1.0)])
     return np.array(out[:n], dtype=np.float64)
+
+
+def _advance_past_sample(mix, rng, n, block=8192, chunk=1024):
+    """Advance ``rng`` as a mixture sample of ``n`` values does: every block
+    begun draws its ``block`` uniforms, then its normals up to the end of the
+    ``chunk`` of attempts in which the ``n``-th value is accepted."""
+    probe = make_rng(0)
+    probe.bit_generator.state = rng.bit_generator.state
+    means, stds = np.asarray(mix.means), np.asarray(mix.stds)
+    cum = np.cumsum(np.asarray(mix.weights))
+    cum[-1] = 1.0
+    filled = 0
+    while True:
+        comp = np.searchsorted(cum, probe.random(block), side="right")
+        draws = means[comp] + stds[comp] * probe.standard_normal(block)
+        hits = np.flatnonzero((draws >= mix.floor) & (draws <= 1.0))
+        if n == 0 or filled + hits.size >= n:
+            attempts = 0 if n == 0 else hits[n - filled - 1] + 1
+            rng.random(block)
+            rng.standard_normal(-(-attempts // chunk) * chunk)
+            return
+        filled += hits.size
+        rng.random(block)
+        rng.standard_normal(block)
 
 
 class TestTruncatedGaussianMixture:
@@ -264,6 +302,27 @@ class TestTruncatedGaussianMixture:
         for seed in range(3):
             want = _whole_block_sample(mix, make_rng(seed), n)
             assert np.array_equal(sample_many(mix, make_rng(seed), n), want)
+
+    @pytest.mark.parametrize("mix", [TWO_BUMP_MIX, LOW_BUMP_MIX], ids=["two_bump", "low_bump"])
+    @pytest.mark.parametrize("n", [1, 500, 2000, 9000])
+    def test_generator_stops_at_the_filling_chunk(self, mix, n):
+        # a later draw from the same generator starts where the chunk of
+        # attempts that filled the row ends
+        for seed in range(3):
+            rng, model = make_rng(seed), make_rng(seed)
+            sample_many(mix, rng, n)
+            _advance_past_sample(mix, model, n)
+            assert rng.bit_generator.state == model.bit_generator.state
+            assert np.array_equal(sample_many(mix, rng, 700), sample_many(mix, model, 700))
+
+    def test_repeated_draws_pinned(self):
+        # the sequence of repeated single draws and of two rows on one
+        # generator; it changes whenever the sampler's consumption does
+        rng = make_rng(17)
+        singles = [sample(TWO_BUMP_MIX, rng) for _ in range(4)]
+        rows = [sample_many(TWO_BUMP_MIX, rng, 3), sample_many(LOW_BUMP_MIX, rng, 3)]
+        got = singles + np.concatenate(rows).tolist()
+        assert got == PINNED_MIXTURE_DRAWS
 
     def test_from_components(self):
         mix = TruncatedGaussianMixture.from_components(0.01, [(0.3, 0.4, 0.2), (0.7, 0.6, 0.3)])

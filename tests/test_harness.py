@@ -290,10 +290,11 @@ class TestPackCells:
         grid = {"c": [0.0, 1.0], "alpha": [0.01, 0.999, 0.3]}
         cells = sweep(base, grid)
         assert [c.params for c in cells] == [params for params, _ in expand_grid(base, grid)]
-        calls = [c.kernel_call for c in cells]
-        assert calls == sorted(calls)
-        # an alpha = 0.999 cell exceeds the sorted-rows bound on its own
-        assert len(set(calls)) > 1
+        # an alpha = 0.999 cell exceeds the sorted-rows bound on its own, so
+        # the grid takes several calls, one of them with several cells
+        policies = [cfg.policy for _, cfg in expand_grid(base, grid)]
+        sizes = pack_cells(policies, (2, base.problem.k, base.horizon))
+        assert len(sizes) > 1 and max(sizes) > 1
         for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
             finals = np.array([led.regret[-1] for led in run_many(cfg)])
             assert cell.mean_final_regret == finals.mean()
@@ -308,8 +309,12 @@ class TestPackCells:
         assert pack_cells([big, big], (2, 10, 10)) == [1, 1]
 
     def test_records_bound_cells_without_sorted_rows(self):
-        # two (runs, horizon) records per cell: k / 2 cells fill the budget
-        assert pack_cells([UCB(c=0.5)] * 7, (3, 4, 50)) == [2, 2, 2, 1]
+        # alpha * horizon <= 1 keeps no sorted rows; two (runs, horizon)
+        # records per cell: k / 2 cells fill the budget
+        assert pack_cells([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50)) == [2, 2, 2, 1]
+
+    def test_other_kinds_play_one_cell_per_call(self):
+        assert pack_cells([UCB(c=0.5)] * 3, (3, 4, 50)) == [1, 1, 1]
         assert pack_cells([MIN()], (3, 4, 50)) == [1]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -128,33 +128,27 @@ class TestKernelProperties:
         check()
 
 
-# per-cell parameters for packed calls: MaRaB alphas run from
+# per-cell parameters for packed MaRaB calls: alphas run from
 # alpha * horizon <= 1 (horizon <= 120) to 0.999, and c = 0 is included
-PACKED_STRATEGIES = {
-    "ucb": st.builds(UCB, c=_positive),
-    "marab": st.builds(
-        MaRaB,
-        c=st.one_of(st.just(0.0), _weight),
-        alpha=st.one_of(st.floats(1e-4, 1 / 120), st.floats(0.005, 0.05), _unit, st.just(0.999)),
-    ),
-    "mvlcb": st.builds(MVLCB, rho=_positive, delta=_unit),
-    "expexp": st.builds(ExpExp, rho=_positive, tau=st.integers(1, 130)),
-}
+PACKED_MARAB = st.builds(
+    MaRaB,
+    c=st.one_of(st.just(0.0), _weight),
+    alpha=st.one_of(st.floats(1e-4, 1 / 120), st.floats(0.005, 0.05), _unit, st.just(0.999)),
+)
 
 
 @st.composite
-def packed_cells(draw, kind):
+def packed_cells(draw):
     """Up to five cells drawn from a pool of up to three policies, so cells
     repeat and equal parameters need not be adjacent."""
-    pool = draw(st.lists(PACKED_STRATEGIES[kind], min_size=1, max_size=3))
+    pool = draw(st.lists(PACKED_MARAB, min_size=1, max_size=3))
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
 
 
 class TestPackedCalls:
-    @pytest.mark.parametrize("kind", sorted(PACKED_STRATEGIES))
-    def test_every_lane_equals_object_layer(self, kind):
-        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-        @given(batch=tied_tables(), cells=packed_cells(kind))
+    def test_every_lane_equals_object_layer(self):
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(batch=tied_tables(), cells=packed_cells())
         def check(batch, cells):
             runs = len(batch)
             chosen, rewards = _play(batch, *cells)
