@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from .config import (
     load_experiment_spec,
     resolve_policy,
     resolved_config_dict,
+    sanitize_label,
 )
 from .exceptions import ConfigError, DegenerateMixtureError
 from .generators import BanditProblem
@@ -54,7 +55,7 @@ from .harness import (
 from .rng import EPISODE_DOMAIN, derive_seed, validate_seed
 from .theory import (
     BoundInputs,
-    BoundResult,
+    check_tail_args,
     min_regret_bound,
     min_regret_bound_aligned,
     min_tail_check,
@@ -71,16 +72,6 @@ JSON_SCHEMA = "riskbandit-json 1"
 # output helpers
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _sanitize(label: str) -> str:
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
-
-
 def _write_table(out_dir: Path, stem: str, fmt: str, header: list[str], rows, meta: dict) -> Path:
     """Write one table as CSV (comment preamble + header + rows) or JSON."""
     rows = [list(r) for r in rows]
@@ -90,8 +81,9 @@ def _write_table(out_dir: Path, stem: str, fmt: str, header: list[str], rows, me
         for key, value in meta.items():
             lines.append(f"# {key}={value}")
         lines.append(",".join(header))
+        # every cell is a Python int or float, and str of a float is its repr
         for row in rows:
-            lines.append(",".join(_fmt_cell(v) for v in row))
+            lines.append(",".join(map(str, row)))
         path.write_text("\n".join(lines) + "\n")
     else:
         path = out_dir / f"{stem}.json"
@@ -184,25 +176,28 @@ class _Experiment:
 # subcommands
 
 
+def _run_configs(spec: ExperimentSpec, problem: BanditProblem, instance: int) -> list[RunConfig]:
+    """The run config of every policy of ``spec`` on problem ``instance``."""
+    seed = derive_seed(spec.seed, EPISODE_DOMAIN, instance)
+    return [
+        RunConfig(
+            problem=problem,
+            policy=resolve_policy(entry, problem.k, spec.horizon),
+            horizon=spec.horizon,
+            seed=seed,
+            n_runs=spec.runs,
+        )
+        for entry in spec.policies
+    ]
+
+
 def cmd_run(args) -> int:
     exp = _Experiment.open(args)
     spec = exp.spec
     problems = [build_problem(spec.problem, spec.seed, inst) for inst in range(spec.instances)]
     # every (instance, policy) batch is validated before the first one runs,
     # so a bad policy parameter leaves no partial output behind
-    batches = [
-        [
-            RunConfig(
-                problem=problem,
-                policy=resolve_policy(entry, problem.k, spec.horizon),
-                horizon=spec.horizon,
-                seed=derive_seed(spec.seed, EPISODE_DOMAIN, inst),
-                n_runs=spec.runs,
-            )
-            for entry in spec.policies
-        ]
-        for inst, problem in enumerate(problems)
-    ]
+    batches = [_run_configs(spec, problem, inst) for inst, problem in enumerate(problems)]
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
@@ -220,7 +215,7 @@ def cmd_run(args) -> int:
 
     policy_stats = {}
     for entry, tally, finals in zip(spec.policies, totals, per_instance_final):
-        label = _sanitize(entry.label)
+        label = sanitize_label(entry.label)
         curve = aggregate_regret(tally)
         exp.write_table(
             f"regret_curve_{label}",
@@ -257,17 +252,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     exp = _Experiment.open(args)
     spec = exp.spec
-    problem = build_problem(spec.problem, spec.seed, 0)
-    bases = [
-        RunConfig(
-            problem=problem,
-            policy=resolve_policy(entry, problem.k, spec.horizon),
-            horizon=spec.horizon,
-            seed=derive_seed(spec.seed, EPISODE_DOMAIN, 0),
-            n_runs=spec.runs,
-        )
-        for entry in spec.policies
-    ]
+    bases = _run_configs(spec, build_problem(spec.problem, spec.seed, 0), 0)
     # every cell of every policy is validated before the first one runs, so a
     # bad grid value leaves no partial output behind
     grid_policies = [
@@ -284,7 +269,7 @@ def cmd_sweep(args) -> int:
         play[entry.label] = (len(pack_cells(policies, tables.shape)), time.perf_counter() - start)
         param_names = list(grid)
         exp.write_table(
-            f"sweep_{_sanitize(entry.label)}",
+            f"sweep_{sanitize_label(entry.label)}",
             param_names + ["mean_final_regret", "mean_final_regret_emp", "std_final_regret"],
             (
                 [cell.params[n] for n in param_names]
@@ -297,26 +282,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_BOUND_KEYS = {
-    "n_arms",
-    "density_floor",
-    "max_mean_gap",
-    "min_infimum_gap",
-    "t",
-    "delta",
-    "mean_gaps",
-    "n_optimal",
-}
-
-
-def _bound_result_dict(result: BoundResult) -> dict:
-    return {
-        "high_prob": result.high_prob,
-        "expectation": result.expectation,
-        "note": result.note,
-    }
-
-
 def cmd_bound(args) -> int:
     try:
         with open(args.inputs) as fh:
@@ -327,8 +292,9 @@ def cmd_bound(args) -> int:
         raise ConfigError(f"invalid JSON in {args.inputs}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{args.inputs}: expected a JSON object")
+    allowed = {f.name for f in fields(BoundInputs)}
     for key in doc:
-        if key not in _BOUND_KEYS:
+        if key not in allowed:
             raise ConfigError(f"{args.inputs}: unknown key {key!r}")
     if "mean_gaps" in doc and not isinstance(doc["mean_gaps"], list):
         raise ConfigError(f"{args.inputs}: mean_gaps must be a list")
@@ -340,9 +306,9 @@ def cmd_bound(args) -> int:
         raise ConfigError(f"{args.inputs}: {exc}") from None
 
     output = {
-        "inputs": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(inputs).items()},
-        "min_policy": _bound_result_dict(min_regret_bound(inputs)),
-        "min_policy_aligned": _bound_result_dict(min_regret_bound_aligned(inputs)),
+        "inputs": asdict(inputs),
+        "min_policy": asdict(min_regret_bound(inputs)),
+        "min_policy_aligned": asdict(min_regret_bound_aligned(inputs)),
         "ucb": (
             ucb_regret_bound(inputs.mean_gaps, inputs.t) if inputs.mean_gaps is not None else None
         ),
@@ -352,12 +318,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_check_lemma(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials: must be >= 1, got {args.trials}")
-    if args.t < 0:
-        raise ConfigError(f"--t: must be >= 0, got {args.t}")
-    if args.epsilon <= 0:
-        raise ConfigError(f"--epsilon: must be positive, got {args.epsilon}")
+    try:
+        # each message starts with the argument's name, which is the flag's
+        check_tail_args(args.t, args.epsilon, args.trials)
+    except ValueError as exc:
+        raise ConfigError(f"--{exc}") from None
     if args.arms < 1:
         raise ConfigError(f"--arms: must be >= 1, got {args.arms}")
     try:

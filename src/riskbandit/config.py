@@ -20,7 +20,9 @@ An experiment spec is a single YAML document::
           c: [1.0e-6, 1.0e-3, 1.0]
 
     # mvlcb accepts delta: auto (1 / horizon^2); expexp accepts tau: auto
-    # (k * (horizon / 14)^(2/3)).
+    # (k * (horizon / 14)^(2/3)).  Output files are named by label (see
+    # sanitize_label), so labels must stay unique once mapped to file
+    # names: a/b and a_b clash.
 
 Validation is strict: unknown keys anywhere are rejected, and error messages
 name the offending field by its dotted path.  Policy parameters resolve in
@@ -91,6 +93,7 @@ class PolicyEntry:
     kind: str
     params: dict
     sweep: Optional[dict] = None
+    index: int = 0  # position in the spec's policy list, for error paths
 
 
 @dataclass(eq=False)
@@ -103,6 +106,12 @@ class ExperimentSpec:
     instances: int = 1
     out: str = "results"
     format: str = "csv"
+
+
+def sanitize_label(label: str) -> str:
+    """The file-name stem of a policy label: characters other than letters,
+    digits, ``-`` and ``_`` become ``_``."""
+    return "".join(c if c.isalnum() or c in "-_" else "_" for c in label)
 
 
 def _fail(path: str, message: str) -> None:
@@ -215,7 +224,7 @@ def _parse_policy(doc: Any, index: int) -> PolicyEntry:
     label = doc.get("label", kind)
     if not isinstance(label, str) or not label:
         _fail(f"{path}.label", f"expected a non-empty string, got {label!r}")
-    return PolicyEntry(label=label, kind=kind, params=params, sweep=sweep)
+    return PolicyEntry(label=label, kind=kind, params=params, sweep=sweep, index=index)
 
 
 def parse_experiment_dict(doc: Any, source: str = "<spec>") -> ExperimentSpec:
@@ -251,10 +260,19 @@ def parse_experiment_dict(doc: Any, source: str = "<spec>") -> ExperimentSpec:
     if not isinstance(policies_doc, list) or not policies_doc:
         _fail("policies", "expected a non-empty list")
     policies = [_parse_policy(p, i) for i, p in enumerate(policies_doc)]
-    labels = [p.label for p in policies]
-    for label in labels:
-        if labels.count(label) > 1:
-            _fail("policies", f"duplicate label {label!r}; set explicit labels")
+    # output files are named by label, so labels must differ once sanitized
+    stems = {}
+    for p in policies:
+        stem = sanitize_label(p.label)
+        if stems.get(stem) == p.label:
+            _fail("policies", f"duplicate label {p.label!r}; set explicit labels")
+        if stem in stems:
+            _fail(
+                "policies",
+                f"labels {stems[stem]!r} and {p.label!r} both name files {stem!r}; "
+                "set distinct labels",
+            )
+        stems[stem] = p.label
 
     return ExperimentSpec(
         seed=seed,
@@ -315,7 +333,7 @@ def resolve_policy(entry: PolicyEntry, k: int, horizon: int) -> PolicyConfig:
     try:
         return POLICY_KINDS[entry.kind](**params)
     except ValueError as exc:
-        raise ConfigError(f"policy {entry.label!r}: {exc}") from None
+        raise ConfigError(f"policies[{entry.index}]: policy {entry.label!r}: {exc}") from None
 
 
 def resolved_config_dict(spec: ExperimentSpec) -> dict:

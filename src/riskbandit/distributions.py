@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from ._util import ceil_int
+from .estimators import tail_count
 from .exceptions import DegenerateMixtureError
 
 # Rejection sampling aborts after this many consecutive attempts without a
@@ -55,6 +55,10 @@ class UniformSegment:
     radius: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError(
+                f"center and radius must be finite, got {self.center}, {self.radius}"
+            )
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.center - self.radius < -_SUPPORT_TOL or self.center + self.radius > 1.0 + _SUPPORT_TOL:
@@ -83,8 +87,8 @@ class TruncatedGaussianMixture:
         infimum of the reward.
     weights, means, stds : tuple of float
         Component weights (strictly positive, summing to 1), component means,
-        and component standard deviations (strictly positive).  The three
-        tuples must have equal, non-zero length.
+        and component standard deviations (strictly positive), all finite.
+        The three tuples must have equal, non-zero length.
     """
 
     floor: float
@@ -103,6 +107,8 @@ class TruncatedGaussianMixture:
                 f"component tuples disagree in length: {n} weights, "
                 f"{len(self.means)} means, {len(self.stds)} stds"
             )
+        if not all(math.isfinite(x) for x in (*self.weights, *self.means, *self.stds)):
+            raise ValueError("component weights, means and stds must be finite")
         if any(w <= 0.0 for w in self.weights):
             raise ValueError("component weights must be strictly positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
@@ -255,10 +261,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
 
-def _tail_rank(alpha: float, n: int) -> int:
-    return max(1, ceil_int(alpha * n))
-
-
 def analytic_mean(spec: ArmSpec) -> float:
     """Expected reward of ``spec``, exact for every family.
 
@@ -292,7 +294,7 @@ def quantile_value(spec: ArmSpec, alpha: float) -> float:
         return spec.low + alpha * 2.0 * spec.radius
     if isinstance(spec, EmpiricalResample):
         vals = sorted(spec.values)
-        return float(vals[_tail_rank(alpha, len(vals)) - 1])
+        return float(vals[tail_count(len(vals), alpha) - 1])
     if isinstance(spec, TruncatedGaussianMixture):
         return _mixture_quantile(spec, alpha)
     raise TypeError(f"unknown arm spec type: {type(spec).__name__}")
@@ -313,7 +315,7 @@ def analytic_cvar(spec: ArmSpec, alpha: float) -> float:
         return spec.low + alpha * spec.radius
     if isinstance(spec, EmpiricalResample):
         vals = np.sort(np.asarray(spec.values, dtype=np.float64))
-        return float(np.mean(vals[: _tail_rank(alpha, len(vals))]))
+        return float(np.mean(vals[: tail_count(len(vals), alpha)]))
     if isinstance(spec, TruncatedGaussianMixture):
         q = _mixture_quantile(spec, alpha)
         mass, first = _mixture_partial(spec, q)

@@ -25,7 +25,11 @@ from .exceptions import UndefinedStatisticError
 
 
 def tail_count(count: int, alpha: float) -> int:
-    """Number of lowest rewards entering the tail mean: max(1, ceil(alpha * count))."""
+    """Number of lowest rewards entering the tail mean: max(1, ceil(alpha * count)).
+
+    Every scalar tail size in the package comes from here;
+    :func:`riskbandit.kernels.tail_sizes` is the vectorised form.
+    """
     return max(1, ceil_int(alpha * count))
 
 

@@ -24,6 +24,7 @@ dispatch simulation, as a stand-in for trace-driven workloads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -124,10 +125,9 @@ def gen_proof_of_concept(
         raise ValueError(f"need at least 2 arms, got k={k}")
     if not 0.0 < a_star < mu_star:
         raise ValueError(f"need 0 < a_star < mu_star, got a_star={a_star}, mu_star={mu_star}")
-    if delta_max < 0.0:
-        raise ValueError(f"delta_max must be non-negative, got {delta_max}")
-    if r_max < 0.0:
-        raise ValueError(f"r_max must be non-negative, got {r_max}")
+    for name, value in (("delta_max", delta_max), ("r_max", r_max)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
     arms = []
     for i in range(1, k + 1):

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence, Union
 
 from .estimators import ArmStats, tail_count
-from ._util import ceil_int
 from .exceptions import ConfigError
 
 
@@ -127,7 +126,7 @@ def marab_index(stats: ArmStats, t: int, c: float, alpha: float) -> float:
     """
     _check_round(t)
     n_alpha = tail_count(stats.count, alpha)
-    horizon_tail = max(1, ceil_int(t * alpha))
+    horizon_tail = tail_count(t, alpha)
     return stats.empirical_cvar(alpha) - c * math.sqrt(math.log(horizon_tail) / n_alpha)
 
 

@@ -52,17 +52,13 @@ class LemmaCheck:
     passed: bool  # empirical <= bound + 3 standard errors
 
 
-def _finish_check(hits: int, trials: int, bound: float) -> LemmaCheck:
-    p = hits / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return LemmaCheck(empirical_prob=p, bound=bound, std_error=se, passed=p <= bound + 3.0 * se)
-
-
-def _check_tail_args(t: int, epsilon: float, trials: int) -> None:
+def check_tail_args(t: int, epsilon: float, trials: int) -> None:
+    """Reject arguments the tail checks cannot use.  Each message starts with
+    the argument's name."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
@@ -81,21 +77,8 @@ def min_tail_check(
         raise ValueError(
             f"density floor unknown for {type(spec).__name__}; need a uniform segment"
         )
-    _check_tail_args(t, epsilon, trials)
-    a_floor = 1.0 / (2.0 * spec.radius)
-    bound = math.exp(-t * a_floor * epsilon)
-    if t == 0:
-        return LemmaCheck(empirical_prob=1.0, bound=1.0, std_error=0.0, passed=True)
-    hits = 0
-    cutoff = spec.low + epsilon
-    per_chunk = max(1, _CHUNK_DRAWS // t)
-    done = 0
-    while done < trials:
-        n = min(per_chunk, trials - done)
-        mins = sample_many(spec, rng, n * t).reshape(n, t).min(axis=1)
-        hits += int(np.count_nonzero(mins >= cutoff))
-        done += n
-    return _finish_check(hits, trials, bound)
+    check_tail_args(t, epsilon, trials)
+    return _tail_check([spec], [spec.low], 1.0 / (2.0 * spec.radius), t, epsilon, trials, rng)
 
 
 def min_tail_check_any(
@@ -113,21 +96,30 @@ def min_tail_check_any(
     """
     if problem.lower_bound_A is None:
         raise ValueError("problem has no density floor; the union tail bound needs one")
-    _check_tail_args(t, epsilon, trials)
-    bound = problem.k * math.exp(-t * problem.lower_bound_A * epsilon)
+    check_tail_args(t, epsilon, trials)
+    return _tail_check(
+        problem.arms, problem.infima, problem.lower_bound_A, t, epsilon, trials, rng
+    )
+
+
+def _tail_check(arms, infima, density_floor, t, epsilon, trials, rng) -> LemmaCheck:
+    """The union check over ``arms``; over one arm it is the single-arm check."""
     if t == 0:
-        return LemmaCheck(empirical_prob=1.0, bound=float(problem.k), std_error=0.0, passed=True)
+        return LemmaCheck(empirical_prob=1.0, bound=float(len(arms)), std_error=0.0, passed=True)
+    bound = len(arms) * math.exp(-t * density_floor * epsilon)
     hit = np.zeros(trials, dtype=bool)
     per_chunk = max(1, _CHUNK_DRAWS // t)
-    for a, spec in enumerate(problem.arms):
-        cutoff = problem.infima[a] + epsilon
+    for spec, infimum in zip(arms, infima):
+        cutoff = infimum + epsilon
         done = 0
         while done < trials:
             n = min(per_chunk, trials - done)
             mins = sample_many(spec, rng, n * t).reshape(n, t).min(axis=1)
             hit[done : done + n] |= mins >= cutoff
             done += n
-    return _finish_check(int(np.count_nonzero(hit)), trials, bound)
+    p = int(np.count_nonzero(hit)) / trials
+    se = math.sqrt(p * (1.0 - p) / trials)
+    return LemmaCheck(empirical_prob=p, bound=bound, std_error=se, passed=p <= bound + 3.0 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +153,13 @@ class BoundInputs:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_arms < 1:
             raise ValueError(f"n_arms must be >= 1, got {self.n_arms}")
+        for name in ("density_floor", "max_mean_gap", "min_infimum_gap", "delta"):
+            value = getattr(self, name)
+            is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (is_number and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.mean_gaps is not None and not all(0.0 <= g < math.inf for g in self.mean_gaps):
+            raise ValueError(f"mean_gaps must be non-negative and finite, got {self.mean_gaps}")
         if not self.density_floor > 0.0:
             raise ValueError(f"density_floor must be positive, got {self.density_floor}")
         if self.max_mean_gap < 0.0:

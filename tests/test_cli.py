@@ -151,10 +151,31 @@ class TestRun:
         path.write_text(SPEC_TEXT.replace("- policy: min", "- {policy: marab, c: .nan}"))
         assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: policy 'marab': c must be non-negative and finite")
+        assert err.startswith("error: policies[1]: policy 'marab': c must be non-negative and finite")
         assert len(err.splitlines()) == 1
         # the bad second policy is caught before the first one runs
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_labels_sharing_a_file_name_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "clash.yaml"
+        path.write_text(
+            SPEC_TEXT.replace("- policy: ucb", "- {policy: ucb, label: a/b}").replace(
+                "- policy: min", "- {policy: min, label: a_b}"
+            )
+        )
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: policies: labels 'a/b' and 'a_b' both name files 'a_b'")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_nan_generator_parameter_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(SPEC_TEXT.replace("k: 3", "k: 3\n  delta_max: .nan"))
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem: delta_max must be non-negative and finite")
+        assert len(err.splitlines()) == 1
 
     def test_expexp_tau_below_k_exit_1(self, tmp_path, capsys):
         path = tmp_path / "tau.yaml"
@@ -252,7 +273,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "bad_policy, message",
         [
-            ("{policy: ucb, c: .nan}", "error: policy 'ucb': c must be positive and finite"),
+            ("{policy: ucb, c: .nan}", "error: policies[1]: policy 'ucb': c must be positive and finite"),
             ("{policy: ucb, sweep: {c: [1.0, -1.0]}}", "error: sweep cell {'c': -1.0}: c must be positive"),
         ],
     )
@@ -265,6 +286,19 @@ class TestSweep:
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
         assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_labels_sharing_a_file_name_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(
+            SWEEP_TEXT.replace("- policy: marab", "- policy: marab\n    label: m/1").replace(
+                "- policy: min", "- {policy: min, label: m_1}"
+            )
+        )
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: policies: labels 'm/1' and 'm_1' both name files 'm_1'")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_tables_drawn_once(self, tmp_path, monkeypatch):
         drawn = []
@@ -347,8 +381,14 @@ class TestBound:
             ({"n_arms": "2"}, "n_arms must be an integer"),
             ({"min_infimum_gap": 0.0}, "min_infimum_gap must be positive"),
             ({"epsilon": 0.1}, "unknown key 'epsilon'"),
+            ({"max_mean_gap": math.inf}, "max_mean_gap must be a finite number"),
+            ({"density_floor": math.nan}, "density_floor must be a finite number"),
+            ({"mean_gaps": [-0.5]}, "mean_gaps must be non-negative and finite"),
         ],
-        ids=["null_gap", "fractional_t", "string_n_arms", "zero_infimum_gap", "epsilon"],
+        ids=[
+            "null_gap", "fractional_t", "string_n_arms", "zero_infimum_gap", "epsilon",
+            "infinite_mean_gap", "nan_density_floor", "negative_ucb_gap",
+        ],
     )
     def test_bad_input_one_line_exit_1(self, tmp_path, capsys, override, message):
         path = self._write(tmp_path, {**self.GOLDEN, **override})
@@ -390,6 +430,23 @@ class TestCheckLemma:
                       "--t", "5", "--epsilon", "0.1", "--trials", "10"]
         assert main(bad_radius) == 1
         assert "--center/--radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+    def test_epsilon_must_be_positive_and_finite(self, capsys, epsilon):
+        argv = self.BASE[:-4] + ["--epsilon", epsilon, "--trials", "10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --epsilon must be positive and finite")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("arms", ["1", "3"])
+    def test_nan_center_exit_1(self, capsys, arms):
+        argv = ["check-lemma", "--center", "nan", "--radius", "0.1", "--arms", arms,
+                "--t", "5", "--epsilon", "0.1", "--trials", "10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --center/--radius: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestArgumentParsing:

@@ -117,6 +117,12 @@ class TestParseExperimentDict:
         )
         assert [p.label for p in spec.policies] == ["ucb_small", "ucb_big"]
 
+    @pytest.mark.parametrize("labels", [("a/b", "a_b"), ("m 1", "m_1"), ("x.y", "x?y")])
+    def test_labels_must_differ_as_file_names(self, labels):
+        policies = [{"policy": "ucb", "label": label} for label in labels]
+        with pytest.raises(ConfigError, match=r"^policies: labels .* both name files"):
+            parse_experiment_dict(minimal_doc(policies=policies))
+
     def test_sweep_parsing(self):
         spec = parse_experiment_dict(
             minimal_doc(
@@ -239,6 +245,13 @@ class TestResolvePolicy:
         # formula value 50 * (50/14)^(2/3) = 117 exceeds the horizon: clamp
         clamped = resolve_policy(self._entry({"policy": "expexp"}), k=50, horizon=50)
         assert clamped.tau == 50
+
+    def test_invalid_values_name_the_path(self):
+        spec = parse_experiment_dict(
+            minimal_doc(policies=[{"policy": "min"}, {"policy": "ucb", "c": -1}])
+        )
+        with pytest.raises(ConfigError, match=r"^policies\[1\]: policy 'ucb': c must be "):
+            resolve_policy(spec.policies[1], k=5, horizon=100)
 
     def test_invalid_values_name_the_label(self):
         entry = self._entry({"policy": "marab", "alpha": 2.0, "label": "bad_marab"})

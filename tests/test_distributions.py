@@ -54,6 +54,13 @@ class TestUniformSegment:
         with pytest.raises(ValueError, match="escapes"):
             UniformSegment(center=0.1, radius=0.2)
 
+    @pytest.mark.parametrize(
+        "center, radius", [(math.nan, 0.1), (0.5, math.nan), (0.5, math.inf), (math.inf, 0.1)]
+    )
+    def test_non_finite_parameters_rejected(self, center, radius):
+        with pytest.raises(ValueError, match="must be finite"):
+            UniformSegment(center=center, radius=radius)
+
     def test_tail_probability_linear_in_epsilon(self):
         # P(X <= a + eps) = eps / (2 radius) >= A * eps with A = 1/(2 radius)
         seg = UniformSegment(center=0.5, radius=0.25)
@@ -212,6 +219,13 @@ class TestTruncatedGaussianMixture:
             )
         with pytest.raises(ValueError, match="component"):
             TruncatedGaussianMixture(floor=0.0, weights=(), means=(), stds=())
+
+    @pytest.mark.parametrize("field", ["weights", "means", "stds"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_components_rejected(self, field, bad):
+        good = dict(floor=0.0, weights=(0.5, 0.5), means=(0.4, 0.6), stds=(0.2, 0.2))
+        with pytest.raises(ValueError, match="must be finite"):
+            TruncatedGaussianMixture(**{**good, field: (0.5, bad)})
 
     def test_support_containment(self):
         mix = TruncatedGaussianMixture(

@@ -1,15 +1,18 @@
-"""Byte-identity gate on the episode engine.
+"""Byte-identity gate on the episode engine and the theory commands.
 
 Every CSV that a small ``run`` spec (on proof-of-concept, mixture and
 battery arms) and a small ``sweep`` spec write is pinned by its SHA-256.
 Together they play all five policies, MaRaB from a one-sample tail
 (alpha * horizon < 1) to nearly the whole history, and battery arms whose
-few recorded values make rewards tie.  An engine change that moves one
-output byte fails here; a deliberate output change must update the digests
-and name itself as a correctness fix.
+few recorded values make rewards tie.  The stdout of ``bound`` (with and
+without UCB mean gaps) and of ``check-lemma`` (one arm and the union over
+three, at ``t = 0`` and ``t = 10``, two seeds) is pinned the same way.  A
+change that moves one output byte fails here; a deliberate output change
+must update the digests and name itself as a correctness fix.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -137,3 +140,54 @@ def test_sweep_outputs_byte_identical(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
     assert csv_digests(out) == SWEEP_DIGESTS
+
+
+BOUND_INPUTS = {
+    "n_arms": 2,
+    "density_floor": 1.0,
+    "max_mean_gap": 0.1,
+    "min_infimum_gap": 0.1,
+    "t": 100,
+    "delta": 0.05,
+}
+
+BOUND_DIGESTS = {
+    "plain": "21fe9aec2d3b7916861ba1bd0266cc6c77c7abedb8008b6814e2e78b851c88f2",
+    "mean_gaps": "1f2cc6608b49d95fb5035e74668b52075efc797edd84e16baaf3287409569d3a",
+}
+
+# (arms, t, seed) -> digest of check-lemma stdout; center 0.5, radius 0.5,
+# epsilon 0.1, 300 trials
+LEMMA_DIGESTS = {
+    (1, 0, 0): "e8680667c31c1a4f19366a5e5c93dd783e6382f8488c08d1e2e73200639e2b2c",
+    (1, 0, 7): "791c49a426a40dc9eff00e53c6abb5fb7a6be3317a65566227f0ec2d9d62af66",
+    (1, 10, 0): "f63d776daf3b89fd19c932f4f1e01bb440eff8496f4b66e50d943461f6ab2540",
+    (1, 10, 7): "3220c3728d7239986e553ee04403c528ee55cba201b7b8e77c441bbd68986de3",
+    (3, 0, 0): "ee35f1486ff20793b41f73a2b8ba4f0da2d5198cd135d06be649ce0b741f8298",
+    (3, 0, 7): "0a267e2f0022fc1371621d38c637b7bedd8ea7ef7df8eb93f7fa700e43c82d93",
+    (3, 10, 0): "11b35b44cc41b088657bb2a85379addc63916d9ada3215c2d3780e4ef6af9c9d",
+    (3, 10, 7): "7664d7511a56bfcbd8c7f0a6a9b637f8c72b37c648917363639bd9518995d565",
+}
+
+
+def stdout_digest(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_DIGESTS))
+def test_bound_output_byte_identical(name, tmp_path, capsys):
+    doc = dict(BOUND_INPUTS, **({"mean_gaps": [0.5]} if name == "mean_gaps" else {}))
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(doc))
+    assert stdout_digest(["bound", "--inputs", str(path)], capsys) == BOUND_DIGESTS[name]
+
+
+@pytest.mark.parametrize("arms, t, seed", sorted(LEMMA_DIGESTS))
+def test_check_lemma_output_byte_identical(arms, t, seed, capsys):
+    argv = [
+        "check-lemma", "--center", "0.5", "--radius", "0.5", "--arms", str(arms),
+        "--t", str(t), "--epsilon", "0.1", "--trials", "300", "--seed", str(seed),
+    ]
+    assert stdout_digest(argv, capsys) == LEMMA_DIGESTS[(arms, t, seed)]

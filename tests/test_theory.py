@@ -55,6 +55,16 @@ class TestMinTailCheck:
         with pytest.raises(ValueError, match="trials"):
             min_tail_check(seg, t=5, epsilon=0.1, trials=0, rng=make_rng(0))
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        seg = UniformSegment(center=0.5, radius=0.5)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            min_tail_check(seg, t=5, epsilon=epsilon, trials=10, rng=make_rng(0))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            min_tail_check_any(
+                BanditProblem.from_arms([seg, seg], lower_bound_A=1.0), 5, epsilon, 10, make_rng(0)
+            )
+
     def test_holds_across_random_configurations(self):
         rng = make_rng(0)
         for _ in range(40):
@@ -248,6 +258,26 @@ class TestBoundInputs:
         )
         with pytest.raises(ValueError, match=f"{key} must be an integer"):
             BoundInputs(**{**good, key: bad})
+
+    @pytest.mark.parametrize(
+        "key", ["density_floor", "max_mean_gap", "min_infimum_gap", "delta"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1", None, True])
+    def test_float_fields_must_be_finite_numbers(self, key, bad):
+        good = dict(
+            n_arms=2, density_floor=1.0, max_mean_gap=0.1, min_infimum_gap=0.1,
+            t=10, delta=0.1,
+        )
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            BoundInputs(**{**good, key: bad})
+
+    @pytest.mark.parametrize("gap", [math.nan, math.inf, -0.1])
+    def test_mean_gaps_must_be_finite_and_non_negative(self, gap):
+        with pytest.raises(ValueError, match="mean_gaps must be non-negative and finite"):
+            BoundInputs(
+                n_arms=2, density_floor=1.0, max_mean_gap=0.1, min_infimum_gap=0.1,
+                t=10, delta=0.1, mean_gaps=(gap,),
+            )
 
     def test_nonpositive_infimum_gap_rejected(self):
         # rejected on construction, so no evaluator ever divides by the gap
