@@ -33,6 +33,7 @@ from pathlib import Path
 from .config import (
     ExperimentSpec,
     build_problem,
+    entry_error,
     load_experiment_spec,
     resolve_policy,
     resolved_config_dict,
@@ -47,6 +48,7 @@ from .harness import (
     draw_tables,
     expand_grid,
     pack_cells,
+    pack_instances,
     run_many,
     sorted_final_regret,
     sorted_reward_cdf,
@@ -201,16 +203,24 @@ def cmd_run(args) -> int:
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
-    # instances outermost: each instance's reward tables are drawn once, serve
-    # every policy, and are dropped before the next instance's are drawn
-    for configs in batches:
-        tables = draw_tables(configs[0])
-        for i, (cfg, tally, finals) in enumerate(zip(configs, totals, per_instance_final)):
-            start = time.perf_counter()
-            batch = run_many(cfg, tables)
-            play_seconds[i] += time.perf_counter() - start
-            tally.add(batch)
-            finals.append(sum(led.regret[-1] for led in batch) / len(batch))
+    groups = pack_instances([spec.runs * problem.k * spec.horizon for problem in problems])
+    # groups of consecutive instances outermost: a group's reward tables are
+    # drawn once into one stacked array, every policy plays all of its
+    # instances in one call, and the array is dropped before the next
+    # group's is drawn
+    start = 0
+    for size in groups:
+        group = batches[start : start + size]
+        start += size
+        tables = draw_tables([configs[0] for configs in group])
+        for i, (tally, finals) in enumerate(zip(totals, per_instance_final)):
+            clock = time.perf_counter()
+            ledgers = run_many([configs[i] for configs in group], tables)
+            play_seconds[i] += time.perf_counter() - clock
+            tally.add(ledgers)
+            for inst in range(size):
+                batch = ledgers[inst * spec.runs : (inst + 1) * spec.runs]
+                finals.append(sum(led.regret[-1] for led in batch) / len(batch))
         del tables
 
     policy_stats = {}
@@ -221,29 +231,28 @@ def cmd_run(args) -> int:
             f"regret_curve_{label}",
             ["t", "mean_theoretical_regret", "mean_empirical_regret", "std"],
             zip(
-                (int(t) for t in curve.t),
-                (float(v) for v in curve.mean_regret),
-                (float(v) for v in curve.mean_regret_emp),
-                (float(v) for v in curve.std_regret),
+                curve.t.tolist(),
+                curve.mean_regret.tolist(),
+                curve.mean_regret_emp.tolist(),
+                curve.std_regret.tolist(),
             ),
         )
-        cdf = sorted_reward_cdf(tally)
         exp.write_table(
             f"sorted_rewards_{label}",
             ["rank", "mean_reward"],
-            ((rank + 1, float(v)) for rank, v in enumerate(cdf)),
+            enumerate(sorted_reward_cdf(tally).tolist(), 1),
         )
         exp.write_table(
             f"sorted_final_regret_{label}",
             ["rank", "mean_final_regret"],
-            ((rank + 1, float(v)) for rank, v in enumerate(sorted_final_regret(finals))),
+            enumerate(sorted_final_regret(finals).tolist(), 1),
         )
         policy_stats[entry.label] = {
             "mean_final_regret": float(curve.mean_regret[-1]),
             "mean_final_regret_emp": float(curve.mean_regret_emp[-1]),
         }
     play = {
-        entry.label: (len(batches), seconds) for entry, seconds in zip(spec.policies, play_seconds)
+        entry.label: (len(groups), seconds) for entry, seconds in zip(spec.policies, play_seconds)
     }
     exp.close("run", "summary.json", {"policies": policy_stats}, play)
     return 0
@@ -255,10 +264,12 @@ def cmd_sweep(args) -> int:
     bases = _run_configs(spec, build_problem(spec.problem, spec.seed, 0), 0)
     # every cell of every policy is validated before the first one runs, so a
     # bad grid value leaves no partial output behind
-    grid_policies = [
-        [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
-        for entry, base in zip(spec.policies, bases)
-    ]
+    grid_policies = []
+    for entry, base in zip(spec.policies, bases):
+        try:
+            grid_policies.append([cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})])
+        except ConfigError as exc:
+            raise entry_error(entry, exc) from None
     tables = draw_tables(bases[0])
     cell_counts = {}
     play = {}

@@ -51,7 +51,7 @@ from .generators import (
     gen_mixture,
     gen_proof_of_concept,
 )
-from .policies import POLICY_KINDS, PolicyConfig, expexp_tau
+from .policies import POLICY_KINDS, PolicyConfig, check_fits, expexp_tau
 from .rng import PROBLEM_DOMAIN, substream, validate_seed
 
 _TOP_KEYS = {"seed", "horizon", "runs", "instances", "out", "format", "problem", "policies"}
@@ -324,16 +324,24 @@ def build_problem(spec: ProblemSpec, seed: int, instance: int) -> BanditProblem:
 
 
 def resolve_policy(entry: PolicyEntry, k: int, horizon: int) -> PolicyConfig:
-    """Materialise a policy config, resolving ``auto`` parameters for this problem."""
+    """Materialise a policy config, resolving ``auto`` parameters for this problem,
+    and check that it can play ``k`` arms for ``horizon`` rounds."""
     params = dict(entry.params)
     if params.get("delta") == "auto":
         params["delta"] = 1.0 / (horizon * horizon)
     if params.get("tau") == "auto":
         params["tau"] = min(horizon, expexp_tau(k, horizon))
     try:
-        return POLICY_KINDS[entry.kind](**params)
+        policy = POLICY_KINDS[entry.kind](**params)
+        check_fits(policy, k, horizon)
+        return policy
     except ValueError as exc:
-        raise ConfigError(f"policies[{entry.index}]: policy {entry.label!r}: {exc}") from None
+        raise entry_error(entry, exc) from None
+
+
+def entry_error(entry: PolicyEntry, exc: Exception) -> ConfigError:
+    """``exc`` as a validation error that names the policy entry it came from."""
+    return ConfigError(f"policies[{entry.index}]: policy {entry.label!r}: {exc}")
 
 
 def resolved_config_dict(spec: ExperimentSpec) -> dict:

@@ -6,10 +6,16 @@ reward an arm would yield on its ``u``-th pull is drawn up front into a
 :mod:`riskbandit.rng`).  A batch stacks its runs' tables into one
 ``(runs, k, horizon)`` array (:func:`draw_tables`), drawn once and shared by
 every policy and every sweep cell played on it, and the kernels of
-:mod:`riskbandit.kernels` play all runs of the batch in lockstep.  A sweep
-plays its grid cells as *lanes* of a few such calls (:func:`pack_cells`):
-lane ``cell * runs + r`` plays run ``r``'s table with its cell's
-parameters.  Two consequences worth relying on:
+:mod:`riskbandit.kernels` play all runs of the batch in lockstep, one run
+per *lane*.  Two layouts put more lanes in one call:
+
+* :func:`run_many` plays several instances' batches on their stacked
+  arrays: lane ``instance * runs + r`` plays run ``r`` of that instance.
+  :func:`pack_instances` decides which consecutive instances share a call.
+* a sweep plays its grid cells on one array (:func:`pack_cells`): lane
+  ``cell * runs + r`` plays run ``r``'s table with its cell's parameters.
+
+Two consequences worth relying on:
 
 * runs are reproducible bit for bit, and adding runs never changes the
   draws or the episodes of existing ones;
@@ -36,7 +42,7 @@ from . import kernels
 from .distributions import sample_many
 from .exceptions import ConfigError
 from .generators import BanditProblem
-from .policies import ExpExp, PolicyConfig
+from .policies import PolicyConfig, check_fits
 from .rng import substream, validate_seed
 
 
@@ -62,17 +68,10 @@ class RunConfig:
             validate_seed(self.seed)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if isinstance(self.policy, ExpExp):
-            if self.policy.tau < self.problem.k:
-                raise ConfigError(
-                    f"tau={self.policy.tau} cannot cover one pull of each of "
-                    f"{self.problem.k} arms"
-                )
-            if self.policy.tau > self.horizon:
-                raise ConfigError(
-                    f"tau={self.policy.tau} exceeds horizon {self.horizon}; "
-                    "the policy would never commit"
-                )
+        try:
+            check_fits(self.policy, self.problem.k, self.horizon)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +107,21 @@ def draw_reward_table(problem: BanditProblem, seed: int, run_index: int, horizon
     return table
 
 
-def draw_tables(cfg: RunConfig) -> np.ndarray:
+def draw_tables(cfg: RunConfig | Sequence[RunConfig]) -> np.ndarray:
     """Every run's reward table of the batch, stacked: shape ``(n_runs, k, horizon)``.
 
-    The array depends only on the problem, seed, run count and horizon, so
-    one draw serves every policy and every sweep cell of those.
+    Given the configs of several instances, their batches are stacked in
+    order into shape ``(instances * n_runs, k, horizon)``.  The array depends only on the problems, seeds,
+    run count and horizon, so one draw serves every policy and every sweep
+    cell of those.  It is allocated once and filled one run at a time.
     """
-    return np.stack([draw_reward_table(cfg.problem, cfg.seed, r, cfg.horizon) for r in range(cfg.n_runs)])
+    configs = _instances(cfg)
+    runs, k, horizon = configs[0].n_runs, configs[0].problem.k, configs[0].horizon
+    tables = np.empty((len(configs) * runs, k, horizon), dtype=np.float64)
+    for i, c in enumerate(configs):
+        for r in range(runs):
+            tables[i * runs + r] = draw_reward_table(c.problem, c.seed, r, horizon)
+    return tables
 
 
 def _play(tables: np.ndarray, *policies: PolicyConfig):
@@ -160,25 +167,45 @@ def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
     return _ledgers(cfg, *_play(table[np.newaxis], cfg.policy))[0]
 
 
-def run_many(cfg: RunConfig, tables: np.ndarray | None = None) -> list[RegretLedger]:
-    """All ``cfg.n_runs`` episodes, ordered by run index.
+def run_many(cfg: RunConfig | Sequence[RunConfig], tables: np.ndarray | None = None) -> list[RegretLedger]:
+    """All ``n_runs`` episodes of one instance's batch, or of several, in one kernel call.
 
-    ``tables`` is the batch's :func:`draw_tables` array, drawn here when not
-    given; pass it to play several policies on one draw.
+    Given the configs of several instances, which must share policy,
+    horizon, run count and arm count, the ledgers are instance-major: run
+    ``r`` of instance ``i`` is ledger ``i * n_runs + r``, accounted against
+    that instance's problem.  ``tables`` is the :func:`draw_tables` array of
+    the same configs, drawn here when not given; pass it to play several
+    policies on one draw.
     """
-    tables = _tables(cfg, tables)
-    return _ledgers(cfg, *_play(tables, cfg.policy))
+    configs = _instances(cfg)
+    tables = _tables(configs, tables)
+    chosen, rewards = _play(tables, configs[0].policy)
+    runs = configs[0].n_runs
+    ledgers = []
+    for i, c in enumerate(configs):
+        lanes = slice(i * runs, (i + 1) * runs)
+        ledgers += _ledgers(c, chosen[lanes], rewards[lanes])
+    return ledgers
 
 
-def _tables(cfg: RunConfig, tables: np.ndarray | None) -> np.ndarray:
-    """``tables`` checked against the batch's shape, or drawn when not given."""
+def _instances(cfg: RunConfig | Sequence[RunConfig]) -> list[RunConfig]:
+    """``cfg`` as a non-empty list of configs whose batches can share one kernel call."""
+    configs = [cfg] if isinstance(cfg, RunConfig) else list(cfg)
+    if not configs:
+        raise ValueError("need at least one run config")
+    if len({(c.policy, c.horizon, c.n_runs, c.problem.k) for c in configs}) > 1:
+        raise ValueError("run configs played in one call must share policy, horizon, n_runs and arm count")
+    return configs
+
+
+def _tables(configs: list[RunConfig], tables: np.ndarray | None) -> np.ndarray:
+    """``tables`` checked against the stacked batches' shape, or drawn when not given."""
     if tables is None:
-        return draw_tables(cfg)
-    if tables.shape != (cfg.n_runs, cfg.problem.k, cfg.horizon):
-        raise ValueError(
-            f"reward tables have shape {tables.shape}, expected "
-            f"{(cfg.n_runs, cfg.problem.k, cfg.horizon)}"
-        )
+        return draw_tables(configs)
+    first = configs[0]
+    shape = (len(configs) * first.n_runs, first.problem.k, first.horizon)
+    if tables.shape != shape:
+        raise ValueError(f"reward tables have shape {tables.shape}, expected {shape}")
     return tables
 
 
@@ -293,9 +320,9 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
         params = dict(zip(names, combo))
         try:
             policy = dataclasses.replace(base.policy, **params)
+            cells.append((params, dataclasses.replace(base, policy=policy)))
         except ValueError as err:
             raise ConfigError(f"sweep cell {params}: {err}") from None
-        cells.append((params, dataclasses.replace(base, policy=policy)))
     return cells
 
 
@@ -329,6 +356,31 @@ def pack_cells(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) ->
     return sizes
 
 
+# Floats of the stacked reward array of one run_many call (16 MiB): the
+# instances of a run share a call while their stacked array stays within it.
+STACK_FLOATS = 2**21
+
+
+def pack_instances(sizes: Sequence[int]) -> list[int]:
+    """How many consecutive instances, in order, each kernel call of a run plays.
+
+    ``sizes`` are the instances' reward-array sizes in floats (``n_runs *
+    k * horizon``).  A call takes the next instance while the stacked array
+    stays within :data:`STACK_FLOATS`.  A call always takes at least one
+    instance; an instance over the cap on its own plays alone.
+    """
+    groups: list[int] = []
+    floats = 0
+    for size in sizes:
+        if groups and floats + size <= STACK_FLOATS:
+            groups[-1] += 1
+            floats += size
+        else:
+            groups.append(1)
+            floats = size
+    return groups
+
+
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
     """Run every cell of :func:`expand_grid` on ``base``.
 
@@ -338,7 +390,7 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
     few kernel calls :func:`pack_cells` allows.
     """
     cells = expand_grid(base, grid)
-    tables = _tables(base, tables)
+    tables = _tables([base], tables)
     results = []
     start = 0
     for size in pack_cells([cfg.policy for _, cfg in cells], tables.shape):

@@ -96,6 +96,19 @@ PolicyConfig = Union[UCB, MIN, MaRaB, MVLCB, ExpExp]
 POLICY_KINDS = {cls.kind: cls for cls in (UCB, MIN, MaRaB, MVLCB, ExpExp)}
 
 
+def check_fits(policy: PolicyConfig, k: int, horizon: int) -> None:
+    """Reject a policy that cannot play ``k`` arms for ``horizon`` rounds.
+
+    Only ExpExp can: its exploration length ``tau`` must cover one pull of
+    each arm and end within the horizon.
+    """
+    if isinstance(policy, ExpExp):
+        if policy.tau < k:
+            raise ValueError(f"tau={policy.tau} cannot cover one pull of each of {k} arms")
+        if policy.tau > horizon:
+            raise ValueError(f"tau={policy.tau} exceeds horizon {horizon}; the policy would never commit")
+
+
 def expexp_tau(k: int, horizon: int) -> int:
     """Exploration length ``K * (T / 14)^(2/3)``, rounded, never below ``k``."""
     if k < 1 or horizon < 1:

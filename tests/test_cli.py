@@ -182,7 +182,7 @@ class TestRun:
         path.write_text(SPEC_TEXT.replace("- policy: min", "- {policy: expexp, rho: 1.0, tau: 2}"))
         assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: tau=2 cannot cover one pull of each of 3 arms")
+        assert err.startswith("error: policies[1]: policy 'expexp': tau=2 cannot cover one pull of each of 3 arms")
         assert len(err.splitlines()) == 1
         assert not list((tmp_path / "out").glob("*.csv"))
 
@@ -214,6 +214,16 @@ class TestRun:
         assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(drawn) == 3 * 2
         assert len(set(drawn)) == len(drawn)
+
+    def test_instances_share_one_kernel_call_per_policy(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(SPEC_TEXT + "instances: 3\n")  # two policies
+        out = tmp_path / "out"
+        assert main(["run", "--spec", str(path), "--out", str(out)]) == 0
+        play = json.loads((out / "summary.json").read_text())["timing"]["play"]
+        assert {label: p["kernel_calls"] for label, p in play.items()} == {"ucb": 1, "min": 1}
+        _, rows = read_csv(out / "sorted_final_regret_ucb.csv")
+        assert len(rows) == 1 + 3  # one final regret per instance
 
     def test_unwritable_out_exit_2(self, spec_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -274,7 +284,7 @@ class TestSweep:
         "bad_policy, message",
         [
             ("{policy: ucb, c: .nan}", "error: policies[1]: policy 'ucb': c must be positive and finite"),
-            ("{policy: ucb, sweep: {c: [1.0, -1.0]}}", "error: sweep cell {'c': -1.0}: c must be positive"),
+            ("{policy: ucb, sweep: {c: [1.0, -1.0]}}", "error: policies[1]: policy 'ucb': sweep cell {'c': -1.0}: c must be positive"),
         ],
     )
     def test_bad_later_policy_exit_1_before_any_output(self, tmp_path, capsys, bad_policy, message):

@@ -8,6 +8,7 @@ from riskbandit import (
     ConfigError,
     ExpExp,
     MIN,
+    MVLCB,
     MaRaB,
     RunConfig,
     UCB,
@@ -22,15 +23,18 @@ from riskbandit import (
 )
 from riskbandit.config import load_experiment_spec, resolve_policy
 from riskbandit.harness import (
+    STACK_FLOATS,
     RegretTotals,
     draw_reward_table,
     draw_tables,
     expand_grid,
     pack_cells,
+    pack_instances,
 )
 from riskbandit.kernels import tail_sizes
 
-ALPHA_SWEEP_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "alpha_sweep.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+ALPHA_SWEEP_SPEC = ROOT / "perfbench" / "specs" / "alpha_sweep.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +182,130 @@ class TestRunMany:
         tables = draw_tables(dataclasses.replace(small_cfg, n_runs=2))
         with pytest.raises(ValueError, match="shape"):
             run_many(small_cfg, tables)
+
+
+@st.composite
+def stacked_configs(draw, kind):
+    """The configs of 1-4 instances that share one ``kind`` policy, on
+    proof-of-concept problems of different gaps and seeds."""
+    runs = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    horizon = draw(st.integers(k, 40))
+    policy = draw(
+        {
+            "ucb": st.builds(UCB, c=st.floats(0.001, 2.0)),
+            "min": st.just(MIN()),
+            "marab": st.builds(MaRaB, c=st.floats(0.0, 2.0), alpha=st.floats(0.01, 0.99)),
+            "mvlcb": st.builds(MVLCB, rho=st.floats(0.1, 2.0), delta=st.floats(0.001, 0.5)),
+            "expexp": st.builds(ExpExp, rho=st.floats(0.1, 2.0), tau=st.integers(k, horizon)),
+        }[kind]
+    )
+    instances = draw(st.integers(1, 4))
+    return [
+        RunConfig(
+            problem=gen_proof_of_concept(
+                k=k, delta_max=draw(st.floats(0.01, 0.1)), r_max=draw(st.floats(0.05, 0.35))
+            ),
+            policy=policy,
+            horizon=horizon,
+            seed=draw(st.integers(0, 2**32 - 1)),
+            n_runs=runs,
+        )
+        for _ in range(instances)
+    ]
+
+
+class TestStackedInstances:
+    @pytest.mark.parametrize("kind", ["ucb", "min", "marab", "mvlcb", "expexp"])
+    def test_stacked_equals_per_instance(self, kind):
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(configs=stacked_configs(kind))
+        def check(configs):
+            tables = draw_tables(configs)
+            assert np.array_equal(tables, np.concatenate([draw_tables(cfg) for cfg in configs]))
+            stacked = run_many(configs, tables)
+            alone = [led for cfg in configs for led in run_many(cfg)]
+            assert len(stacked) == len(alone) == len(configs) * configs[0].n_runs
+            for got, want in zip(stacked, alone):
+                for field in ("chosen", "rewards", "regret", "regret_emp", "pull_counts"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+        check()
+
+    def test_draws_when_tables_not_given(self, small_cfg):
+        import dataclasses
+
+        configs = [small_cfg, dataclasses.replace(small_cfg, seed=12)]
+        for a, b in zip(run_many(configs), run_many(configs, draw_tables(configs))):
+            assert np.array_equal(a.chosen, b.chosen)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"policy": MIN()},
+            {"horizon": 150},
+            {"n_runs": 5},
+            {"problem": gen_proof_of_concept(k=5, r_max=0.3)},
+        ],
+        ids=["policy", "horizon", "n_runs", "k"],
+    )
+    def test_mismatched_configs_rejected(self, small_cfg, change):
+        import dataclasses
+
+        configs = [small_cfg, dataclasses.replace(small_cfg, seed=12, **change)]
+        with pytest.raises(ValueError, match="must share"):
+            run_many(configs)
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            run_many([])
+
+    def test_stacked_tables_shape_checked(self, small_cfg):
+        import dataclasses
+
+        configs = [small_cfg, dataclasses.replace(small_cfg, seed=12)]
+        with pytest.raises(ValueError, match="shape"):
+            run_many(configs, draw_tables(small_cfg))
+
+
+class TestPackInstances:
+    def test_small_instances_share_one_call(self):
+        assert pack_instances([1000] * 5) == [5]
+        assert pack_instances([STACK_FLOATS // 2] * 5) == [2, 2, 1]
+
+    def test_oversized_instance_plays_alone(self):
+        big = STACK_FLOATS + 1
+        assert pack_instances([big]) == [1]
+        assert pack_instances([10, big, 10, 10]) == [1, 1, 2]
+        assert pack_instances([STACK_FLOATS, 1]) == [1, 1]
+
+    @pytest.mark.parametrize("recipe", ["mixture_regret", "battery"])
+    def test_full_recipes_keep_one_instance_per_call(self, recipe):
+        spec = load_experiment_spec(ROOT / "recipes" / f"{recipe}.yaml")
+        k = spec.problem.params.get("k", spec.problem.params.get("n_arms"))
+        sizes = [spec.runs * k * spec.horizon] * spec.instances
+        assert pack_instances(sizes) == [1] * spec.instances
+
+    def test_mixture_run_spec_plays_in_one_call(self):
+        spec = load_experiment_spec(ROOT / "perfbench" / "specs" / "mixture_run.yaml")
+        sizes = [spec.runs * spec.problem.params["k"] * spec.horizon] * spec.instances
+        assert pack_instances(sizes) == [spec.instances]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.integers(1, 2 * STACK_FLOATS), max_size=12))
+    def test_groups_fill_in_order_within_the_cap(self, sizes):
+        groups = pack_instances(sizes)
+        assert sum(groups) == len(sizes) and all(g >= 1 for g in groups)
+        start = 0
+        for size in groups:
+            floats = sum(sizes[start : start + size])
+            start += size
+            if size > 1:
+                assert floats <= STACK_FLOATS
+            # a group ends only where the next instance would break the cap
+            if start < len(sizes):
+                assert floats + sizes[start] > STACK_FLOATS
 
 
 class TestAggregation:
