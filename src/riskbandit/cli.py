@@ -42,17 +42,18 @@ from .config import (
 from .exceptions import ConfigError, DegenerateMixtureError
 from .generators import BanditProblem
 from .harness import (
+    STACK_FLOATS,
     RegretTotals,
     RunConfig,
     aggregate_regret,
     draw_tables,
     expand_grid,
-    pack_cells,
-    pack_instances,
+    pack,
     run_many,
     sorted_final_regret,
     sorted_reward_cdf,
     sweep,
+    sweep_sizes,
 )
 from .rng import EPISODE_DOMAIN, derive_seed, validate_seed
 from .theory import (
@@ -203,7 +204,7 @@ def cmd_run(args) -> int:
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
-    groups = pack_instances([spec.runs * problem.k * spec.horizon for problem in problems])
+    groups = pack([(spec.runs * problem.k * spec.horizon,) for problem in problems], STACK_FLOATS)
     # groups of consecutive instances outermost: a group's reward tables are
     # drawn once into one stacked array, every policy plays all of its
     # instances in one call, and the array is dropped before the next
@@ -275,9 +276,10 @@ def cmd_sweep(args) -> int:
     play = {}
     for entry, base, policies in zip(spec.policies, bases, grid_policies):
         grid = entry.sweep or {}
+        calls = len(pack(sweep_sizes(policies, tables.shape), tables.size))
         start = time.perf_counter()
         cells = sweep(base, grid, tables)
-        play[entry.label] = (len(pack_cells(policies, tables.shape)), time.perf_counter() - start)
+        play[entry.label] = (calls, time.perf_counter() - start)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{sanitize_label(entry.label)}",
@@ -431,8 +433,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateMixtureError, OSError, RuntimeError, ValueError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (DegenerateMixtureError, MemoryError, OSError, RuntimeError, ValueError) as exc:
+        # a bare MemoryError has no message
+        print(f"runtime error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -7,13 +7,11 @@ reward an arm would yield on its ``u``-th pull is drawn up front into a
 ``(runs, k, horizon)`` array (:func:`draw_tables`), drawn once and shared by
 every policy and every sweep cell played on it, and the kernels of
 :mod:`riskbandit.kernels` play all runs of the batch in lockstep, one run
-per *lane*.  Two layouts put more lanes in one call:
-
-* :func:`run_many` plays several instances' batches on their stacked
-  arrays: lane ``instance * runs + r`` plays run ``r`` of that instance.
-  :func:`pack_instances` decides which consecutive instances share a call.
-* a sweep plays its grid cells on one array (:func:`pack_cells`): lane
-  ``cell * runs + r`` plays run ``r``'s table with its cell's parameters.
+per *lane*.  One rule lays out every call (:func:`_play_batches`): lane
+``cell * rows + i * runs + r`` plays run ``r`` of instance ``i``, of the
+``rows`` stacked table rows, under the call's policy ``cell``.  A run plays
+one policy on stacked instances, a sweep MaRaB grid cells on one instance;
+:func:`pack` decides how many of them share each call.
 
 Two consequences worth relying on:
 
@@ -34,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,9 +109,10 @@ def draw_tables(cfg: RunConfig | Sequence[RunConfig]) -> np.ndarray:
     """Every run's reward table of the batch, stacked: shape ``(n_runs, k, horizon)``.
 
     Given the configs of several instances, their batches are stacked in
-    order into shape ``(instances * n_runs, k, horizon)``.  The array depends only on the problems, seeds,
-    run count and horizon, so one draw serves every policy and every sweep
-    cell of those.  It is allocated once and filled one run at a time.
+    order into shape ``(instances * n_runs, k, horizon)``.  The array
+    depends only on the problems, seeds, run count and horizon, so one draw
+    serves every policy and every sweep cell of those.  It is allocated
+    once and filled one run at a time.
     """
     configs = _instances(cfg)
     runs, k, horizon = configs[0].n_runs, configs[0].problem.k, configs[0].horizon
@@ -125,9 +124,9 @@ def draw_tables(cfg: RunConfig | Sequence[RunConfig]) -> np.ndarray:
 
 
 def _play(tables: np.ndarray, *policies: PolicyConfig):
-    """Play every run of ``tables`` under each of ``policies`` in one kernel
-    call: lane ``cell * runs + r`` plays run ``r``.  Several policies must
-    be MaRaB cells (see :func:`pack_cells`)."""
+    """Play every table row of ``tables`` under each of ``policies`` in one
+    kernel call: lane ``cell * rows + row`` plays ``row``.  Several policies
+    must be MaRaB cells (see :func:`sweep_sizes`)."""
     # kernel parameters are named after the policy's fields: a value, or one
     # value per cell
     kernel = getattr(kernels, f"episode_{policies[0].kind}")
@@ -159,12 +158,33 @@ def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[Re
     ]
 
 
+def _play_batches(
+    tables: np.ndarray, configs: list[RunConfig], policies: Sequence[PolicyConfig]
+) -> Iterator[list[RegretLedger]]:
+    """Play ``policies`` on the stacked batches of ``configs`` in one kernel
+    call and account every lane's regret.
+
+    Each instance has ``runs = len(tables) // len(configs)`` table rows, and
+    lane ``cell * len(tables) + i * runs + r`` plays run ``r`` of instance
+    ``i`` under ``policies[cell]``.  Yields each policy's ledgers,
+    instance-major, each accounted against its instance's problem; a policy
+    is accounted only when its turn comes, so a caller that reduces each
+    policy's ledgers before taking the next holds one policy's at a time.
+    """
+    chosen, rewards = _play(tables, *policies)
+    shape = (len(policies), len(configs), -1, chosen.shape[1])
+    chosen, rewards = chosen.reshape(shape), rewards.reshape(shape)
+    for cell in range(len(policies)):
+        yield [led for i, c in enumerate(configs) for led in _ledgers(c, chosen[cell, i], rewards[cell, i])]
+
+
 def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
     """Play run ``run_index`` of the batch, as a batch of one, and account its regret."""
     if run_index < 0:
         raise ValueError(f"run_index must be >= 0, got {run_index}")
     table = draw_reward_table(cfg.problem, cfg.seed, run_index, cfg.horizon)
-    return _ledgers(cfg, *_play(table[np.newaxis], cfg.policy))[0]
+    (ledgers,) = _play_batches(table[np.newaxis], [cfg], [cfg.policy])
+    return ledgers[0]
 
 
 def run_many(cfg: RunConfig | Sequence[RunConfig], tables: np.ndarray | None = None) -> list[RegretLedger]:
@@ -178,13 +198,7 @@ def run_many(cfg: RunConfig | Sequence[RunConfig], tables: np.ndarray | None = N
     policies on one draw.
     """
     configs = _instances(cfg)
-    tables = _tables(configs, tables)
-    chosen, rewards = _play(tables, configs[0].policy)
-    runs = configs[0].n_runs
-    ledgers = []
-    for i, c in enumerate(configs):
-        lanes = slice(i * runs, (i + 1) * runs)
-        ledgers += _ledgers(c, chosen[lanes], rewards[lanes])
+    (ledgers,) = _play_batches(_tables(configs, tables), configs, [configs[0].policy])
     return ledgers
 
 
@@ -326,59 +340,43 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
     return cells
 
 
-def pack_cells(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[int]:
-    """How many of ``policies``, in order, each kernel call of a sweep plays.
-
-    ``shape`` is the shared ``(runs, k, horizon)`` reward array's.  Only
-    MaRaB cells share a call; every other kind plays one cell per call.  A
-    call takes the next cell only while two things each stay within that
-    array's size: its sorted rows (``runs * k`` rows of
-    :func:`~riskbandit.kernels.buffer_width` floats per cell) and its
-    per-round records (two ``(runs, horizon)`` arrays per cell).  A call
-    always takes at least one cell; a cell that exceeds a bound on its own
-    plays alone, as it would unpacked.
-    """
-    runs, k, horizon = shape
-    budget = runs * k * horizon
-    sizes: list[int] = []
-    rows = records = 0
-    for policy in policies:
-        packable = policy.kind == "marab"
-        cell_rows = runs * k * kernels.buffer_width(policy.alpha, horizon) if packable else 0
-        cell_records = 2 * runs * horizon
-        if sizes and packable and rows + cell_rows <= budget and records + cell_records <= budget:
-            sizes[-1] += 1
-            rows += cell_rows
-            records += cell_records
-        else:
-            sizes.append(1)
-            rows, records = cell_rows, cell_records
-    return sizes
-
-
 # Floats of the stacked reward array of one run_many call (16 MiB): the
 # instances of a run share a call while their stacked array stays within it.
 STACK_FLOATS = 2**21
 
 
-def pack_instances(sizes: Sequence[int]) -> list[int]:
-    """How many consecutive instances, in order, each kernel call of a run plays.
+def pack(sizes: Sequence[tuple[int, ...] | None], budget: int) -> list[int]:
+    """How many consecutive items, in order, each kernel call plays.
 
-    ``sizes`` are the instances' reward-array sizes in floats (``n_runs *
-    k * horizon``).  A call takes the next instance while the stacked array
-    stays within :data:`STACK_FLOATS`.  A call always takes at least one
-    instance; an instance over the cap on its own plays alone.
+    A call takes the next item while each of its summed sizes stays within
+    ``budget``.  A call always takes at least one item, so an item over the
+    budget on its own plays alone, as does an item whose size is ``None``.
     """
-    groups: list[int] = []
-    floats = 0
+    calls: list[int] = []
+    total = None
     for size in sizes:
-        if groups and floats + size <= STACK_FLOATS:
-            groups[-1] += 1
-            floats += size
+        if None not in (total, size) and all(t + s <= budget for t, s in zip(total, size)):
+            calls[-1] += 1
+            total = tuple(t + s for t, s in zip(total, size))
         else:
-            groups.append(1)
-            floats = size
-    return groups
+            calls.append(1)
+            total = size
+    return calls
+
+
+def sweep_sizes(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[tuple | None]:
+    """The :func:`pack` sizes of sweep cells on a ``(runs, k, horizon)`` array.
+
+    A MaRaB cell's sizes are its sorted rows (``runs * k`` rows of
+    :func:`~riskbandit.kernels.buffer_width` floats) and its per-round
+    records (two ``(runs, horizon)`` arrays); a sweep packs them against
+    the array's size.  Every other kind plays one cell per call.
+    """
+    runs, k, horizon = shape
+    return [
+        (runs * k * kernels.buffer_width(p.alpha, horizon), 2 * runs * horizon) if p.kind == "marab" else None
+        for p in policies
+    ]
 
 
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
@@ -387,37 +385,28 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
     Every cell reuses the base seed, so all cells play the one ``tables``
     array (drawn here when not given) and differ only in the policy
     parameters.  The cells are played in grid order, as the lanes of the
-    few kernel calls :func:`pack_cells` allows.
+    few kernel calls :func:`pack` allows; each call's records are dropped
+    before the next call starts.
     """
     cells = expand_grid(base, grid)
     tables = _tables([base], tables)
+    policies = [cfg.policy for _, cfg in cells]
     results = []
     start = 0
-    for size in pack_cells([cfg.policy for _, cfg in cells], tables.shape):
-        results += _play_cells(tables, cells[start : start + size])
+    for size in pack(sweep_sizes(policies, tables.shape), tables.size):
+        call = slice(start, start + size)
         start += size
+        params = [p for p, _ in cells[call]]
+        results += map(_sweep_cell, params, _play_batches(tables, [base], policies[call]))
     return results
 
 
-def _play_cells(tables: np.ndarray, cells: list[tuple[dict, RunConfig]]) -> list[SweepCell]:
-    """Play ``cells`` as the lanes of one kernel call and aggregate each one.
-
-    The call's records are dropped on return, before the next call starts.
-    """
-    chosen, rewards = _play(tables, *(cfg.policy for _, cfg in cells))
-    runs = len(tables)
-    results = []
-    for i, (params, cfg) in enumerate(cells):
-        lanes = slice(i * runs, (i + 1) * runs)
-        ledgers = _ledgers(cfg, chosen[lanes], rewards[lanes])
-        finals = np.array([led.regret[-1] for led in ledgers])
-        finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
-        results.append(
-            SweepCell(
-                params=params,
-                mean_final_regret=float(finals.mean()),
-                mean_final_regret_emp=float(finals_emp.mean()),
-                std_final_regret=float(finals.std()),
-            )
-        )
-    return results
+def _sweep_cell(params: dict, ledgers: list[RegretLedger]) -> SweepCell:
+    finals = np.array([led.regret[-1] for led in ledgers])
+    finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
+    return SweepCell(
+        params=params,
+        mean_final_regret=float(finals.mean()),
+        mean_final_regret_emp=float(finals_emp.mean()),
+        std_final_regret=float(finals.std()),
+    )

@@ -1,19 +1,22 @@
 """Lockstep episode loops: every lane of a call plays the same round together.
 
 Each kernel plays one policy against a pre-drawn reward array ``rewards`` of
-shape ``(runs, k, horizon)``: entry ``[r, i, u]`` is the reward run ``r``
-would be handed on the ``u``-th pull of arm ``i``.  Drawing the rewards up
-front keeps the kernels free of RNG state, and one array serves every
-policy and every sweep cell of a batch, so they are compared on identical
-rewards.
+shape ``(rows, k, horizon)``: entry ``[row, i, u]`` is the reward table row
+``row`` would be handed on the ``u``-th pull of arm ``i``.  Drawing the
+rewards up front keeps the kernels free of RNG state, and one array serves
+every policy and every sweep cell of a batch, so they are compared on
+identical rewards.
 
-A call plays every run of the array as one *lane* each.  :func:`episode_marab`
-can also play several sweep cells in one call: its ``c`` and ``alpha`` are
-then equal-length sequences, one value per cell, and lane ``cell * runs + r``
-plays run ``r``'s table with its cell's parameters; the table is read
-through an offset in one flat gather, never copied.  Kernels return
-``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the 1-based
-round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
+A call plays every table row as one *lane*; the rows may stack the runs of
+several problem instances, which the kernels need not know.
+:func:`episode_marab` can also play several sweep cells in one call: its
+``c`` and ``alpha`` are then equal-length sequences, one value per cell, and
+lane ``cell * rows + row`` plays table row ``row`` with its cell's
+parameters, read through an offset in one flat gather, never copied.
+:func:`riskbandit.harness.pack` decides how many instances (within
+:data:`riskbandit.harness.STACK_FLOATS`) or cells share a call.  Kernels
+return ``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the
+1-based round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
 ``reward_seq[l, t-1]``.
 
 Per-arm statistics live in ``(lanes, k)`` arrays.  Each round computes every

@@ -225,6 +225,15 @@ class TestRun:
         _, rows = read_csv(out / "sorted_final_regret_ucb.csv")
         assert len(rows) == 1 + 3  # one final regret per instance
 
+    def test_unallocatable_tables_exit_2(self, tmp_path, capsys):
+        # numpy refuses the 437 TiB reward array up front, allocating nothing
+        path = tmp_path / "exp.yaml"
+        path.write_text(SPEC_TEXT.replace("horizon: 30", "horizon: 10000000000000"))
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_unwritable_out_exit_2(self, spec_file, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
@@ -308,6 +317,14 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: policies: labels 'm/1' and 'm_1' both name files 'm_1'")
         assert len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_unallocatable_tables_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_text(SWEEP_TEXT.replace("horizon: 30", "horizon: 10000000000000"))
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and len(err.splitlines()) == 1
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_tables_drawn_once(self, tmp_path, monkeypatch):
@@ -448,6 +465,14 @@ class TestCheckLemma:
         err = capsys.readouterr().err
         assert err.startswith("error: --epsilon must be positive and finite")
         assert len(err.splitlines()) == 1
+
+    def test_unallocatable_trials_exit_2(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the 8.9 PiB trial array up front, allocating nothing
+        monkeypatch.chdir(tmp_path)
+        assert main(self.BASE[:-1] + ["10000000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and len(err.splitlines()) == 1
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("arms", ["1", "3"])
     def test_nan_center_exit_1(self, capsys, arms):

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from riskbandit.harness import (
     draw_reward_table,
     draw_tables,
     expand_grid,
-    pack_cells,
-    pack_instances,
+    pack,
+    sweep_sizes,
 )
 from riskbandit.kernels import tail_sizes
 
@@ -271,41 +272,84 @@ class TestStackedInstances:
 
 class TestPackInstances:
     def test_small_instances_share_one_call(self):
-        assert pack_instances([1000] * 5) == [5]
-        assert pack_instances([STACK_FLOATS // 2] * 5) == [2, 2, 1]
+        assert pack([(1000,)] * 5, STACK_FLOATS) == [5]
+        assert pack([(STACK_FLOATS // 2,)] * 5, STACK_FLOATS) == [2, 2, 1]
 
     def test_oversized_instance_plays_alone(self):
-        big = STACK_FLOATS + 1
-        assert pack_instances([big]) == [1]
-        assert pack_instances([10, big, 10, 10]) == [1, 1, 2]
-        assert pack_instances([STACK_FLOATS, 1]) == [1, 1]
+        big = (STACK_FLOATS + 1,)
+        assert pack([big], STACK_FLOATS) == [1]
+        assert pack([(10,), big, (10,), (10,)], STACK_FLOATS) == [1, 1, 2]
+        assert pack([(STACK_FLOATS,), (1,)], STACK_FLOATS) == [1, 1]
 
-    @pytest.mark.parametrize("recipe", ["mixture_regret", "battery"])
-    def test_full_recipes_keep_one_instance_per_call(self, recipe):
-        spec = load_experiment_spec(ROOT / "recipes" / f"{recipe}.yaml")
-        k = spec.problem.params.get("k", spec.problem.params.get("n_arms"))
-        sizes = [spec.runs * k * spec.horizon] * spec.instances
-        assert pack_instances(sizes) == [1] * spec.instances
 
-    def test_mixture_run_spec_plays_in_one_call(self):
-        spec = load_experiment_spec(ROOT / "perfbench" / "specs" / "mixture_run.yaml")
-        sizes = [spec.runs * spec.problem.params["k"] * spec.horizon] * spec.instances
-        assert pack_instances(sizes) == [spec.instances]
+@st.composite
+def packed_sizes(draw):
+    """A budget and up to 12 items of 1-3 sizes each, some of them "alone"."""
+    budget = draw(st.integers(1, 100))
+    size = st.tuples(*[st.integers(0, 2 * budget)] * draw(st.integers(1, 3)))
+    return draw(st.lists(st.none() | size, max_size=12)), budget
 
+
+# every spec's kernel call plan: call sizes for each policy of a run, per
+# policy label for a sweep
+SPEC_PLANS = [
+    ("perfbench/specs/mixture_run.yaml", "run", [3]),
+    ("perfbench/specs/plateau_run.yaml", "run", [1]),
+    ("perfbench/specs/alpha_sweep.yaml", "sweep", {"marab": [6, 1, 1], "min": [1]}),
+    ("recipes/mixture_regret.yaml", "run", [1] * 10),
+    ("recipes/battery.yaml", "run", [1] * 10),
+    ("recipes/plateau.yaml", "run", [1]),
+    ("recipes/marab_alpha_sweep.yaml", "sweep", {"marab": [10, 7, 3] + [1] * 8, "min": [1]}),
+]
+
+
+class TestPack:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(sizes=st.lists(st.integers(1, 2 * STACK_FLOATS), max_size=12))
-    def test_groups_fill_in_order_within_the_cap(self, sizes):
-        groups = pack_instances(sizes)
-        assert sum(groups) == len(sizes) and all(g >= 1 for g in groups)
+    @given(items=packed_sizes())
+    def test_calls_fill_in_order_within_the_budget(self, items):
+        sizes, budget = items
+        calls = pack(sizes, budget)
+        assert sum(calls) == len(sizes) and all(n >= 1 for n in calls)
         start = 0
-        for size in groups:
-            floats = sum(sizes[start : start + size])
-            start += size
-            if size > 1:
-                assert floats <= STACK_FLOATS
-            # a group ends only where the next instance would break the cap
+        for n in calls:
+            call = sizes[start : start + n]
+            start += n
+            if n > 1:
+                # an "alone" item never shares a call
+                assert None not in call
+                assert all(sum(column) <= budget for column in zip(*call))
+            # a call ends only where the next item would break the budget
             if start < len(sizes):
-                assert floats + sizes[start] > STACK_FLOATS
+                grown = call + [sizes[start]]
+                assert None in grown or any(sum(column) > budget for column in zip(*grown))
+
+    @pytest.mark.parametrize(
+        "path, command, plan",
+        SPEC_PLANS,
+        ids=[Path(path).stem for path, _, _ in SPEC_PLANS],
+    )
+    def test_spec_call_plan(self, path, command, plan):
+        # the plans the CLI plays: a run stacks instances against STACK_FLOATS
+        # (one plan for every policy), a sweep packs each policy's grid cells
+        # against the size of the shared reward array
+        spec = load_experiment_spec(ROOT / path)
+        k = spec.problem.params.get("k", spec.problem.params.get("n_arms"))
+        shape = (spec.runs, k, spec.horizon)
+        if command == "run":
+            assert pack([(math.prod(shape),)] * spec.instances, STACK_FLOATS) == plan
+            return
+        plans = {}
+        for entry in spec.policies:
+            base = RunConfig(
+                problem=gen_proof_of_concept(k=k),
+                policy=resolve_policy(entry, k, spec.horizon),
+                horizon=spec.horizon,
+                seed=spec.seed,
+                n_runs=spec.runs,
+            )
+            policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
+            plans[entry.label] = pack(sweep_sizes(policies, shape), math.prod(shape))
+        assert plans == plan
 
 
 class TestAggregation:
@@ -421,7 +465,8 @@ class TestPackCells:
         # an alpha = 0.999 cell exceeds the sorted-rows bound on its own, so
         # the grid takes several calls, one of them with several cells
         policies = [cfg.policy for _, cfg in expand_grid(base, grid)]
-        sizes = pack_cells(policies, (2, base.problem.k, base.horizon))
+        shape = (2, base.problem.k, base.horizon)
+        sizes = pack(sweep_sizes(policies, shape), math.prod(shape))
         assert len(sizes) > 1 and max(sizes) > 1
         for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
             finals = np.array([led.regret[-1] for led in run_many(cfg)])
@@ -432,54 +477,25 @@ class TestPackCells:
         # budget 2 * 10 * 10 = 200 floats; alpha = 0.999 keeps L = 10, so its
         # 2 * 10 * 11 = 220 sorted floats exceed the bound on their own
         small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
-        assert pack_cells([small, small, big, small], (2, 10, 10)) == [2, 1, 1]
-        assert pack_cells([big], (2, 10, 10)) == [1]
-        assert pack_cells([big, big], (2, 10, 10)) == [1, 1]
+        assert pack(sweep_sizes([small, small, big, small], (2, 10, 10)), 200) == [2, 1, 1]
+        assert pack(sweep_sizes([big], (2, 10, 10)), 200) == [1]
+        assert pack(sweep_sizes([big, big], (2, 10, 10)), 200) == [1, 1]
 
     def test_records_bound_cells_without_sorted_rows(self):
         # alpha * horizon <= 1 keeps no sorted rows; two (runs, horizon)
         # records per cell: k / 2 cells fill the budget
-        assert pack_cells([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50)) == [2, 2, 2, 1]
+        assert pack(sweep_sizes([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50)), 600) == [2, 2, 2, 1]
 
     def test_other_kinds_play_one_cell_per_call(self):
-        assert pack_cells([UCB(c=0.5)] * 3, (3, 4, 50)) == [1, 1, 1]
-        assert pack_cells([MIN()], (3, 4, 50)) == [1]
+        assert sweep_sizes([UCB(c=0.5), MIN()], (3, 4, 50)) == [None, None]
+        assert pack(sweep_sizes([UCB(c=0.5)] * 3, (3, 4, 50)), 600) == [1, 1, 1]
+        assert pack(sweep_sizes([MIN()], (3, 4, 50)), 600) == [1]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
         shape=st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)),
     )
-    def test_no_call_breaks_a_bound(self, alphas, shape):
+    def test_marab_sizes_are_sorted_rows_and_records(self, alphas, shape):
         policies = [MaRaB(c=0.0, alpha=a) for a in alphas]
-        sizes = pack_cells(policies, shape)
-        assert sum(sizes) == len(policies) and min(sizes) >= 1
-        budget = shape[0] * shape[1] * shape[2]
-        start = 0
-        for size in sizes:
-            call = [_cell_floats(p, shape) for p in policies[start : start + size]]
-            start += size
-            if size > 1:
-                assert sum(rows for rows, _ in call) <= budget
-                assert sum(records for _, records in call) <= budget
-            # a call ends only where the next cell would break a bound
-            if start < len(policies):
-                rows, records = _cell_floats(policies[start], shape)
-                assert (
-                    sum(r for r, _ in call) + rows > budget
-                    or sum(r for _, r in call) + records > budget
-                )
-
-    def test_alpha_sweep_spec_packs_six_one_one(self):
-        spec = load_experiment_spec(ALPHA_SWEEP_SPEC)
-        entry = spec.policies[0]
-        k = spec.problem.params["k"]
-        base = RunConfig(
-            problem=gen_proof_of_concept(k=k),
-            policy=resolve_policy(entry, k, spec.horizon),
-            horizon=spec.horizon,
-            seed=spec.seed,
-            n_runs=spec.runs,
-        )
-        policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep)]
-        assert pack_cells(policies, (spec.runs, k, spec.horizon)) == [6, 1, 1]
+        assert sweep_sizes(policies, shape) == [_cell_floats(p, shape) for p in policies]
