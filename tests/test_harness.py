@@ -281,6 +281,21 @@ class TestPackInstances:
         assert pack([(10,), big, (10,), (10,)], STACK_FLOATS) == [1, 1, 2]
         assert pack([(STACK_FLOATS,), (1,)], STACK_FLOATS) == [1, 1]
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.integers(1, 2 * STACK_FLOATS), max_size=12))
+    def test_groups_fill_in_order_within_the_cap(self, sizes):
+        groups = pack([(size,) for size in sizes], STACK_FLOATS)
+        assert sum(groups) == len(sizes) and all(g >= 1 for g in groups)
+        start = 0
+        for size in groups:
+            floats = sum(sizes[start : start + size])
+            start += size
+            if size > 1:
+                assert floats <= STACK_FLOATS
+            # a group ends only where the next instance would break the cap
+            if start < len(sizes):
+                assert floats + sizes[start] > STACK_FLOATS
+
 
 @st.composite
 def packed_sizes(draw):
@@ -490,6 +505,31 @@ class TestPackCells:
         assert sweep_sizes([UCB(c=0.5), MIN()], (3, 4, 50)) == [None, None]
         assert pack(sweep_sizes([UCB(c=0.5)] * 3, (3, 4, 50)), 600) == [1, 1, 1]
         assert pack(sweep_sizes([MIN()], (3, 4, 50)), 600) == [1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
+        shape=st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)),
+    )
+    def test_no_call_breaks_a_bound(self, alphas, shape):
+        policies = [MaRaB(c=0.0, alpha=a) for a in alphas]
+        budget = shape[0] * shape[1] * shape[2]
+        sizes = pack(sweep_sizes(policies, shape), budget)
+        assert sum(sizes) == len(policies) and min(sizes) >= 1
+        start = 0
+        for size in sizes:
+            call = [_cell_floats(p, shape) for p in policies[start : start + size]]
+            start += size
+            if size > 1:
+                assert sum(rows for rows, _ in call) <= budget
+                assert sum(records for _, records in call) <= budget
+            # a call ends only where the next cell would break a bound
+            if start < len(policies):
+                rows, records = _cell_floats(policies[start], shape)
+                assert (
+                    sum(r for r, _ in call) + rows > budget
+                    or sum(r for _, r in call) + records > budget
+                )
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
