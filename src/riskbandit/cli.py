@@ -53,7 +53,7 @@ from .harness import (
     sorted_final_regret,
     sorted_reward_cdf,
     sweep,
-    sweep_sizes,
+    sweep_calls,
 )
 from .rng import EPISODE_DOMAIN, derive_seed, validate_seed
 from .theory import (
@@ -111,6 +111,8 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from None
     if args.out is not None:
+        if not args.out:
+            raise ConfigError("--out: expected a non-empty string")
         spec.out = args.out
     if args.format is not None:
         spec.format = args.format
@@ -204,7 +206,7 @@ def cmd_run(args) -> int:
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
-    groups = pack([(spec.runs * problem.k * spec.horizon,) for problem in problems], STACK_FLOATS)
+    groups = pack(spec.instances, spec.runs * problems[0].k * spec.horizon, STACK_FLOATS)
     # groups of consecutive instances outermost: a group's reward tables are
     # drawn once into one stacked array, every policy plays all of its
     # instances in one call, and the array is dropped before the next
@@ -276,7 +278,7 @@ def cmd_sweep(args) -> int:
     play = {}
     for entry, base, policies in zip(spec.policies, bases, grid_policies):
         grid = entry.sweep or {}
-        calls = len(pack(sweep_sizes(policies, tables.shape), tables.size))
+        calls = len(sweep_calls(policies, tables.shape))
         start = time.perf_counter()
         cells = sweep(base, grid, tables)
         play[entry.label] = (calls, time.perf_counter() - start)

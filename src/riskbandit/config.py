@@ -308,7 +308,10 @@ def build_problem(spec: ProblemSpec, seed: int, instance: int) -> BanditProblem:
             rng = substream(seed, PROBLEM_DOMAIN, instance)
             return gen_mixture(params.get("k", 20), rng)
         if spec.generator == "matrix":
-            rows = load_reward_matrix(params["path"])
+            try:
+                rows = load_reward_matrix(params["path"])
+            except OSError as exc:
+                raise ConfigError(f"problem.path: cannot read {params['path']}: {exc}") from None
             return gen_from_matrix(rows, rescale=params.get("rescale", False))
         if spec.generator == "battery":
             rng = substream(seed, PROBLEM_DOMAIN, instance)

@@ -10,8 +10,9 @@ every policy and every sweep cell played on it, and the kernels of
 per *lane*.  One rule lays out every call (:func:`_play_batches`): lane
 ``cell * rows + i * runs + r`` plays run ``r`` of instance ``i``, of the
 ``rows`` stacked table rows, under the call's policy ``cell``.  A run plays
-one policy on stacked instances, a sweep MaRaB grid cells on one instance;
-:func:`pack` decides how many of them share each call.
+one policy on stacked instances, a sweep MaRaB grid cells of one tail
+schedule on one instance; :func:`pack` and :func:`sweep_calls` decide how
+many of them share each call.
 
 Two consequences worth relying on:
 
@@ -126,14 +127,23 @@ def draw_tables(cfg: RunConfig | Sequence[RunConfig]) -> np.ndarray:
 def _play(tables: np.ndarray, *policies: PolicyConfig):
     """Play every table row of ``tables`` under each of ``policies`` in one
     kernel call: lane ``cell * rows + row`` plays ``row``.  Several policies
-    must be MaRaB cells (see :func:`sweep_sizes`)."""
-    # kernel parameters are named after the policy's fields: a value, or one
-    # value per cell
-    kernel = getattr(kernels, f"episode_{policies[0].kind}")
-    names = [f.name for f in dataclasses.fields(policies[0])]
-    if len(policies) == 1:
-        return kernel(tables, **{n: getattr(policies[0], n) for n in names})
-    return kernel(tables, **{n: [getattr(p, n) for p in policies] for n in names})
+    must be MaRaB cells of one tail schedule (:func:`_schedule`), which
+    differ only in ``c``."""
+    # kernel parameters are named after the policy's fields
+    first = policies[0]
+    params = {f.name: getattr(first, f.name) for f in dataclasses.fields(first)}
+    if len(policies) > 1:
+        horizon = tables.shape[2]
+        if {p.kind for p in policies} != {"marab"} or len({_schedule(p, horizon) for p in policies}) > 1:
+            raise ValueError("a kernel call takes MaRaB cells of one alpha, or cells all in the MIN limit")
+        params["c"] = [p.c for p in policies]
+    return getattr(kernels, f"episode_{first.kind}")(tables, **params)
+
+
+def _schedule(policy: PolicyConfig, horizon: int) -> float | None:
+    """The tail schedule a MaRaB cell plays: its ``alpha``, or ``None`` in the
+    MIN limit (``alpha * horizon <= 1``), where every tail is one reward."""
+    return policy.alpha if kernels.buffer_width(policy.alpha, horizon) else None
 
 
 def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[RegretLedger]:
@@ -345,38 +355,40 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
 STACK_FLOATS = 2**21
 
 
-def pack(sizes: Sequence[tuple[int, ...] | None], budget: int) -> list[int]:
-    """How many consecutive items, in order, each kernel call plays.
+def pack(n: int, size: int, budget: int) -> list[int]:
+    """How many of ``n`` equal items, in order, each kernel call plays.
 
-    A call takes the next item while each of its summed sizes stays within
-    ``budget``.  A call always takes at least one item, so an item over the
-    budget on its own plays alone, as does an item whose size is ``None``.
+    A call takes as many items of ``size`` floats as fit in ``budget``, and
+    always at least one, so an item over the budget plays alone; only the
+    last call may be short.
     """
-    calls: list[int] = []
-    total = None
-    for size in sizes:
-        if None not in (total, size) and all(t + s <= budget for t, s in zip(total, size)):
-            calls[-1] += 1
-            total = tuple(t + s for t, s in zip(total, size))
-        else:
-            calls.append(1)
-            total = size
-    return calls
+    per = max(1, budget // size)
+    return [per] * (n // per) + ([n % per] if n % per else [])
 
 
-def sweep_sizes(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[tuple | None]:
-    """The :func:`pack` sizes of sweep cells on a ``(runs, k, horizon)`` array.
+def sweep_calls(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[list[int]]:
+    """The kernel calls of sweep cells on a ``(runs, k, horizon)`` array, as
+    lists of cell indices.
 
-    A MaRaB cell's sizes are its sorted rows (``runs * k`` rows of
-    :func:`~riskbandit.kernels.buffer_width` floats) and its per-round
-    records (two ``(runs, horizon)`` arrays); a sweep packs them against
-    the array's size.  Every other kind plays one cell per call.
+    MaRaB cells of one tail schedule (:func:`_schedule`) form a group, the
+    groups in order of their first cells, and :func:`pack` fills each
+    group's calls against the array's size.  A cell's size is its sorted
+    rows (``runs * k`` rows of :func:`~riskbandit.kernels.buffer_width`
+    floats) or its two ``(runs, horizon)`` records, whichever is larger.
+    Every other kind plays one cell per call.
     """
     runs, k, horizon = shape
-    return [
-        (runs * k * kernels.buffer_width(p.alpha, horizon), 2 * runs * horizon) if p.kind == "marab" else None
-        for p in policies
-    ]
+    groups: dict = {}
+    for i, p in enumerate(policies):
+        groups.setdefault(_schedule(p, horizon) if p.kind == "marab" else ("alone", i), []).append(i)
+    calls = []
+    for group in groups.values():
+        first = policies[group[0]]
+        width = kernels.buffer_width(first.alpha, horizon) if first.kind == "marab" else 0
+        # every call of a group but the last holds as many cells as the first
+        per = pack(len(group), max(runs * k * width, 2 * runs * horizon), runs * k * horizon)[0]
+        calls += [group[i : i + per] for i in range(0, len(group), per)]
+    return calls
 
 
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
@@ -384,20 +396,17 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
 
     Every cell reuses the base seed, so all cells play the one ``tables``
     array (drawn here when not given) and differ only in the policy
-    parameters.  The cells are played in grid order, as the lanes of the
-    few kernel calls :func:`pack` allows; each call's records are dropped
-    before the next call starts.
+    parameters.  The cells are played as the lanes of the few kernel calls
+    :func:`sweep_calls` plans and returned in grid order; each call's
+    records are dropped before the next call starts.
     """
     cells = expand_grid(base, grid)
     tables = _tables([base], tables)
     policies = [cfg.policy for _, cfg in cells]
-    results = []
-    start = 0
-    for size in pack(sweep_sizes(policies, tables.shape), tables.size):
-        call = slice(start, start + size)
-        start += size
-        params = [p for p, _ in cells[call]]
-        results += map(_sweep_cell, params, _play_batches(tables, [base], policies[call]))
+    results = [None] * len(cells)
+    for call in sweep_calls(policies, tables.shape):
+        for i, ledgers in zip(call, _play_batches(tables, [base], [policies[i] for i in call])):
+            results[i] = _sweep_cell(cells[i][0], ledgers)
     return results
 
 

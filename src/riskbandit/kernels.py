@@ -9,12 +9,13 @@ identical rewards.
 
 A call plays every table row as one *lane*; the rows may stack the runs of
 several problem instances, which the kernels need not know.
-:func:`episode_marab` can also play several sweep cells in one call: its
-``c`` and ``alpha`` are then equal-length sequences, one value per cell, and
-lane ``cell * rows + row`` plays table row ``row`` with its cell's
-parameters, read through an offset in one flat gather, never copied.
+:func:`episode_marab` can also play several sweep cells of one tail schedule
+in one call: its ``c`` is then a sequence, one value per cell, and lane
+``cell * rows + row`` plays table row ``row`` with its cell's ``c``, read
+through an offset in one flat gather, never copied.
 :func:`riskbandit.harness.pack` decides how many instances (within
-:data:`riskbandit.harness.STACK_FLOATS`) or cells share a call.  Kernels
+:data:`riskbandit.harness.STACK_FLOATS`), and
+:func:`riskbandit.harness.sweep_calls` which cells, share a call.  Kernels
 return ``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the
 1-based round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
 ``reward_seq[l, t-1]``.
@@ -119,7 +120,11 @@ def episode_ucb(rewards, c):
 
 
 def episode_min(rewards):
-    b = _Lockstep(rewards)
+    return _min_loop(_Lockstep(rewards))
+
+
+def _min_loop(b):
+    # MIN's rounds on call ``b``; MaRaB's MIN limit plays them without calling episode_min
     mins = np.full((b.lanes, b.k), 2.0)
     flat_mins = mins.reshape(-1)
     for t in range(1, b.horizon + 1):
@@ -130,79 +135,54 @@ def episode_min(rewards):
 
 
 def episode_marab(rewards, c, alpha):
-    """``c`` and ``alpha`` are scalars (one cell) or one value per cell."""
-    c, alpha = np.broadcast_arrays(np.atleast_1d(c), np.atleast_1d(alpha))
+    """``c`` is a scalar (one cell) or one value per cell; every cell plays ``alpha``."""
+    c = np.atleast_1d(c)
+    width = buffer_width(alpha, rewards.shape[2])
+    if not width:
+        # every tail is the lowest reward and log 1 = 0 zeroes the exploration
+        # term for any c: the rows play MIN once, and every cell repeats it
+        chosen, reward_seq = _min_loop(_Lockstep(rewards))
+        return np.tile(chosen, (len(c), 1)), np.tile(reward_seq, (len(c), 1))
     b = _Lockstep(rewards, len(c))
     # c as a (lanes, 1) column; with one cell a float, which numpy multiplies
     # faster than a broadcast column
     c = float(c[0]) if len(c) == 1 else np.repeat(c.astype(np.float64), b.runs)[:, None]
-    lane_alpha = np.repeat(alpha, b.runs)
-    alphas = dict.fromkeys(alpha.tolist())
     # only the pulled arm's tail changes, so each arm's tail size and tail mean
     # are kept and refreshed after its pulls rather than rebuilt every round
     n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
     tail_mean = np.zeros((b.lanes, b.k))
     flat_n_alpha, flat_tail_mean = n_alpha.reshape(-1), tail_mean.reshape(-1)
-    # log_tail[t] is the log of every lane's tail size at round t: a float
-    # while all lanes share one alpha, else a (lanes, 1) column
-    logs = {value: list(map(math.log, tail_sizes(value, b.horizon).tolist())) for value in alphas}
-    if len(alphas) == 1:
-        (log_tail,) = logs.values()
-    else:
-        cell_logs = np.array([logs[value] for value in alpha.tolist()])
-        log_tail = np.ascontiguousarray(np.repeat(cell_logs, b.runs, axis=0).T)[:, :, None]
-    # lanes of one alpha share a sorted buffer: no tail ever holds more than
-    # L rewards, so each (lane, arm) keeps only its L lowest, sorted and
-    # padded with inf; column L takes the reward a full row pushes out
-    groups = []
-    for value in alphas:
-        lanes = np.flatnonzero(lane_alpha == value)
-        # with several alphas a group picks its lanes by index, and a lane's
-        # buffer row is its flat (lane, arm) index less k per lane of other
-        # alphas before it; a lone alpha's group is every lane, as it stands
-        sel = base = None
-        if len(alphas) > 1:
-            sel = lanes
-            base = (lanes - np.arange(len(lanes))) * b.k
-        n_tail = tail_sizes(value, b.horizon)
-        width = buffer_width(value, b.horizon)
-        if width:
-            low = np.full((len(lanes) * b.k, width), np.inf)
-        else:
-            # every tail is the lowest reward: the tail mean is a running minimum
-            tail_mean[lanes] = np.inf
-            low = None
-        # tail size, and its last index, after a pull at each pull count
-        n_next = n_tail[1:]
-        groups.append((sel, base, n_next, n_next - 1, int(n_tail[-1]), low, np.arange(len(lanes))))
+    n_tail = tail_sizes(alpha, b.horizon)
+    log_tail = list(map(math.log, n_tail.tolist()))
+    # tail size after a pull at each pull count
+    n_next = n_tail[1:]
+    # no tail ever holds more than L = width - 1 rewards, so each (lane, arm)
+    # keeps only its L lowest, sorted and padded with inf; column L takes the
+    # reward a full row pushes out
+    low = np.full((b.lanes * b.k, width), np.inf)
+    rr = np.arange(b.lanes)
     for t in range(1, b.horizon + 1):
         if t <= b.k:
             a = t - 1
         else:
             a = (tail_mean - c * np.sqrt(log_tail[t] / n_alpha)).argmax(axis=1)
         ia, cnt, x = b.pull(t, a)
-        for sel, base, n_next, n_last, L, low, rr in groups:
-            g_ia, g_cnt, g_x = (ia, cnt, x) if sel is None else (ia[sel], cnt[sel], x[sel])
-            if low is None:
-                flat_tail_mean[g_ia] = np.minimum(flat_tail_mean[g_ia], g_x)
-                continue
-            row = g_ia if base is None else g_ia - base
-            # past the longest kept row everything is inf and stays inf
-            # (a list max is faster than numpy's on a few lanes)
-            most = max(g_cnt.tolist())
-            kept = min(most, L)
-            rows = low[row, : kept + 1]
-            # a stable sort puts the reward after its equals, like bisect.insort
-            rows[:, kept] = g_x
-            rows.sort(axis=1, kind="stable")
-            low[row, : kept + 1] = rows
-            na = n_next[g_cnt]
-            flat_n_alpha[g_ia] = na
-            # cumsum adds left to right, the order ArmStats.empirical_cvar uses;
-            # tail sizes grow with the pull count, so the largest is the most
-            # pulled arm's
-            sums = rows[:, : n_next[most]].cumsum(axis=1)
-            flat_tail_mean[g_ia] = sums[rr, n_last[g_cnt]] / na
+        # past the longest kept row everything is inf and stays inf
+        # (a list max is faster than numpy's on a few lanes)
+        most = max(cnt.tolist())
+        kept = min(most, width - 1)
+        rows = low[ia, : kept + 1]
+        # a stable sort puts the reward after its equals, like bisect.insort
+        rows[:, kept] = x
+        rows.sort(axis=1, kind="stable")
+        low[ia, : kept + 1] = rows
+        na = n_next[cnt]
+        flat_n_alpha[ia] = na
+        # cumsum adds left to right, the order ArmStats.empirical_cvar uses;
+        # tail sizes grow with the pull count, so the largest is the most
+        # pulled arm's
+        sums = rows[:, : n_next[most]].cumsum(axis=1)
+        flat_tail_mean[ia] = sums[rr, na - 1] / na
     return b.chosen, b.reward_seq
 
 

@@ -146,6 +146,26 @@ class TestRun:
         assert main(["run", "--spec", str(spec_file), "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_empty_out_override_exit_1(self, spec_file, tmp_path, capsys, monkeypatch):
+        # as a spec's `out: ""` does; the tables would land in the current directory
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--spec", str(spec_file), "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out: expected a non-empty string\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_matrix_path_exit_1(self, tmp_path, capsys, kind):
+        target = tmp_path / "rewards.csv"
+        if kind == "directory":
+            target.mkdir()
+        path = tmp_path / "matrix.yaml"
+        path.write_text(SPEC_TEXT.replace("proof_of_concept\n  k: 3", f"matrix\n  path: {target}"))
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: problem.path: cannot read {target}: ")
+        assert len(err.splitlines()) == 1
+        assert not list((tmp_path / "out").glob("*.csv"))
+
     def test_nan_policy_parameter_exit_1(self, tmp_path, capsys):
         path = tmp_path / "nan.yaml"
         path.write_text(SPEC_TEXT.replace("- policy: min", "- {policy: marab, c: .nan}"))

@@ -4,7 +4,9 @@ Every CSV that a small ``run`` spec (on proof-of-concept, mixture and
 battery arms) and a small ``sweep`` spec write is pinned by its SHA-256.
 Together they play all five policies, MaRaB from a one-sample tail
 (alpha * horizon < 1) to nearly the whole history, and battery arms whose
-few recorded values make rewards tie.  The stdout of ``bound`` (with and
+few recorded values make rewards tie.  A second sweep lists ``c`` before
+``alpha`` and interleaves two MIN-limit alphas with two buffered ones, so
+its cells play out of grid order and must be written back in it.  The stdout of ``bound`` (with and
 without UCB mean gaps) and of ``check-lemma`` (one arm and the union over
 three, at ``t = 0`` and ``t = 10``, two seeds) is pinned the same way.  A
 change that moves one output byte fails here; a deliberate output change
@@ -55,6 +57,19 @@ policies:
     sweep:
       rho: [0.5, 2.0]
   - {policy: expexp, rho: 1.0, tau: 20}
+  - {policy: min}
+"""
+
+REORDERED_SWEEP_TEXT = """\
+seed: 33
+horizon: 90
+runs: 3
+problem: {generator: mixture, k: 4}
+policies:
+  - policy: marab
+    sweep:
+      c: [0.0, 0.5, 2.0]
+      alpha: [0.005, 0.2, 0.011, 0.9]
   - {policy: min}
 """
 
@@ -120,6 +135,11 @@ SWEEP_DIGESTS = {
     "sweep_ucb.csv": "dcf01d411a93daf4111944a90eec44082afdec260c41282c9f2b9549c6750c1c",
 }
 
+REORDERED_SWEEP_DIGESTS = {
+    "sweep_marab.csv": "1b78bae313451983d0841925fc99df79509b1a5122bd87faa8d8223ffd400658",
+    "sweep_min.csv": "21880295767d90fbad6ec10b824ba58e7c21089b1ce665f6250e8378b2ef63f9",
+}
+
 
 def csv_digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.csv"))}
@@ -140,6 +160,14 @@ def test_sweep_outputs_byte_identical(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
     assert csv_digests(out) == SWEEP_DIGESTS
+
+
+def test_reordered_sweep_outputs_byte_identical(tmp_path):
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(REORDERED_SWEEP_TEXT)
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert csv_digests(out) == REORDERED_SWEEP_DIGESTS
 
 
 BOUND_INPUTS = {

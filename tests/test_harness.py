@@ -30,7 +30,7 @@ from riskbandit.harness import (
     draw_tables,
     expand_grid,
     pack,
-    sweep_sizes,
+    sweep_calls,
 )
 from riskbandit.kernels import tail_sizes
 
@@ -272,37 +272,25 @@ class TestStackedInstances:
 
 class TestPackInstances:
     def test_small_instances_share_one_call(self):
-        assert pack([(1000,)] * 5, STACK_FLOATS) == [5]
-        assert pack([(STACK_FLOATS // 2,)] * 5, STACK_FLOATS) == [2, 2, 1]
+        assert pack(5, 1000, STACK_FLOATS) == [5]
+        assert pack(5, STACK_FLOATS // 2, STACK_FLOATS) == [2, 2, 1]
 
     def test_oversized_instance_plays_alone(self):
-        big = (STACK_FLOATS + 1,)
-        assert pack([big], STACK_FLOATS) == [1]
-        assert pack([(10,), big, (10,), (10,)], STACK_FLOATS) == [1, 1, 2]
-        assert pack([(STACK_FLOATS,), (1,)], STACK_FLOATS) == [1, 1]
+        assert pack(1, STACK_FLOATS + 1, STACK_FLOATS) == [1]
+        assert pack(3, STACK_FLOATS + 1, STACK_FLOATS) == [1, 1, 1]
+        assert pack(2, STACK_FLOATS, STACK_FLOATS) == [1, 1]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(sizes=st.lists(st.integers(1, 2 * STACK_FLOATS), max_size=12))
-    def test_groups_fill_in_order_within_the_cap(self, sizes):
-        groups = pack([(size,) for size in sizes], STACK_FLOATS)
-        assert sum(groups) == len(sizes) and all(g >= 1 for g in groups)
-        start = 0
-        for size in groups:
-            floats = sum(sizes[start : start + size])
-            start += size
-            if size > 1:
-                assert floats <= STACK_FLOATS
+    @given(n=st.integers(0, 12), size=st.integers(1, 2 * STACK_FLOATS))
+    def test_groups_fill_in_order_within_the_cap(self, n, size):
+        groups = pack(n, size, STACK_FLOATS)
+        assert sum(groups) == n and all(g >= 1 for g in groups)
+        for i, g in enumerate(groups):
+            if g > 1:
+                assert g * size <= STACK_FLOATS
             # a group ends only where the next instance would break the cap
-            if start < len(sizes):
-                assert floats + sizes[start] > STACK_FLOATS
-
-
-@st.composite
-def packed_sizes(draw):
-    """A budget and up to 12 items of 1-3 sizes each, some of them "alone"."""
-    budget = draw(st.integers(1, 100))
-    size = st.tuples(*[st.integers(0, 2 * budget)] * draw(st.integers(1, 3)))
-    return draw(st.lists(st.none() | size, max_size=12)), budget
+            if i < len(groups) - 1:
+                assert (g + 1) * size > STACK_FLOATS
 
 
 # every spec's kernel call plan: call sizes for each policy of a run, per
@@ -310,33 +298,24 @@ def packed_sizes(draw):
 SPEC_PLANS = [
     ("perfbench/specs/mixture_run.yaml", "run", [3]),
     ("perfbench/specs/plateau_run.yaml", "run", [1]),
-    ("perfbench/specs/alpha_sweep.yaml", "sweep", {"marab": [6, 1, 1], "min": [1]}),
+    ("perfbench/specs/alpha_sweep.yaml", "sweep", {"marab": [2, 2, 2, 1, 1], "min": [1]}),
     ("recipes/mixture_regret.yaml", "run", [1] * 10),
     ("recipes/battery.yaml", "run", [1] * 10),
     ("recipes/plateau.yaml", "run", [1]),
-    ("recipes/marab_alpha_sweep.yaml", "sweep", {"marab": [10, 7, 3] + [1] * 8, "min": [1]}),
+    ("recipes/marab_alpha_sweep.yaml", "sweep", {"marab": [4, 4, 4, 4, 3] + [1] * 9, "min": [1]}),
 ]
 
 
 class TestPack:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(items=packed_sizes())
-    def test_calls_fill_in_order_within_the_budget(self, items):
-        sizes, budget = items
-        calls = pack(sizes, budget)
-        assert sum(calls) == len(sizes) and all(n >= 1 for n in calls)
-        start = 0
-        for n in calls:
-            call = sizes[start : start + n]
-            start += n
-            if n > 1:
-                # an "alone" item never shares a call
-                assert None not in call
-                assert all(sum(column) <= budget for column in zip(*call))
-            # a call ends only where the next item would break the budget
-            if start < len(sizes):
-                grown = call + [sizes[start]]
-                assert None in grown or any(sum(column) > budget for column in zip(*grown))
+    @given(n=st.integers(0, 30), size=st.integers(1, 200), budget=st.integers(1, 100))
+    def test_calls_fill_in_order_within_the_budget(self, n, size, budget):
+        calls = pack(n, size, budget)
+        assert sum(calls) == n and all(m >= 1 for m in calls)
+        # every call but the last is as full as the budget allows, and a call
+        # over the budget holds one item
+        assert all(m == max(1, budget // size) for m in calls[:-1])
+        assert all(m * size <= budget for m in calls if m > 1)
 
     @pytest.mark.parametrize(
         "path, command, plan",
@@ -345,13 +324,13 @@ class TestPack:
     )
     def test_spec_call_plan(self, path, command, plan):
         # the plans the CLI plays: a run stacks instances against STACK_FLOATS
-        # (one plan for every policy), a sweep packs each policy's grid cells
-        # against the size of the shared reward array
+        # (one plan for every policy), a sweep groups each policy's grid cells
+        # by tail schedule and fills calls against the shared reward array
         spec = load_experiment_spec(ROOT / path)
         k = spec.problem.params.get("k", spec.problem.params.get("n_arms"))
         shape = (spec.runs, k, spec.horizon)
         if command == "run":
-            assert pack([(math.prod(shape),)] * spec.instances, STACK_FLOATS) == plan
+            assert pack(spec.instances, math.prod(shape), STACK_FLOATS) == plan
             return
         plans = {}
         for entry in spec.policies:
@@ -363,7 +342,7 @@ class TestPack:
                 n_runs=spec.runs,
             )
             policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
-            plans[entry.label] = pack(sweep_sizes(policies, shape), math.prod(shape))
+            plans[entry.label] = [len(call) for call in sweep_calls(policies, shape)]
         assert plans == plan
 
 
@@ -464,9 +443,24 @@ def _cell_floats(policy, shape):
     rows = 0
     if policy.kind == "marab":
         L = int(tail_sizes(policy.alpha, horizon)[-1])
-        # a one-reward tail is a running minimum and keeps no buffer
+        # a one-reward tail plays MIN and keeps no buffer
         rows = 0 if L == 1 else runs * k * (L + 1)
     return rows, 2 * runs * horizon
+
+
+def _tail_key(policy, horizon):
+    """Cells with equal keys play one tail schedule: one alpha, or the MIN limit."""
+    return None if tail_sizes(policy.alpha, horizon)[-1] == 1 else policy.alpha
+
+
+@st.composite
+def marab_grids(draw):
+    """Up to 12 MaRaB cells whose alphas repeat from a pool of up to four,
+    and a ``(runs, k, horizon)`` shape."""
+    pool = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    policies = [MaRaB(c=draw(st.sampled_from([0.0, 0.5, 2.0])), alpha=a) for a in alphas]
+    return policies, draw(st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)))
 
 
 class TestPackCells:
@@ -477,12 +471,12 @@ class TestPackCells:
         grid = {"c": [0.0, 1.0], "alpha": [0.01, 0.999, 0.3]}
         cells = sweep(base, grid)
         assert [c.params for c in cells] == [params for params, _ in expand_grid(base, grid)]
-        # an alpha = 0.999 cell exceeds the sorted-rows bound on its own, so
-        # the grid takes several calls, one of them with several cells
+        # cells play grouped by alpha, out of grid order; an alpha = 0.999 cell
+        # exceeds the sorted-rows bound on its own, so the grid takes several
+        # calls, one of them with several cells
         policies = [cfg.policy for _, cfg in expand_grid(base, grid)]
-        shape = (2, base.problem.k, base.horizon)
-        sizes = pack(sweep_sizes(policies, shape), math.prod(shape))
-        assert len(sizes) > 1 and max(sizes) > 1
+        calls = sweep_calls(policies, (2, base.problem.k, base.horizon))
+        assert calls == [[0, 3], [1], [4], [2, 5]]
         for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
             finals = np.array([led.regret[-1] for led in run_many(cfg)])
             assert cell.mean_final_regret == finals.mean()
@@ -490,52 +484,55 @@ class TestPackCells:
 
     def test_oversized_cell_runs_alone(self):
         # budget 2 * 10 * 10 = 200 floats; alpha = 0.999 keeps L = 10, so its
-        # 2 * 10 * 11 = 220 sorted floats exceed the bound on their own
+        # 2 * 10 * 11 = 220 sorted floats exceed the bound on their own, while
+        # alpha = 0.1 is in the MIN limit and needs only its 40 record floats
         small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
-        assert pack(sweep_sizes([small, small, big, small], (2, 10, 10)), 200) == [2, 1, 1]
-        assert pack(sweep_sizes([big], (2, 10, 10)), 200) == [1]
-        assert pack(sweep_sizes([big, big], (2, 10, 10)), 200) == [1, 1]
+        assert sweep_calls([small, small, big, small], (2, 10, 10)) == [[0, 1, 3], [2]]
+        assert sweep_calls([big], (2, 10, 10)) == [[0]]
+        assert sweep_calls([big, big], (2, 10, 10)) == [[0], [1]]
 
     def test_records_bound_cells_without_sorted_rows(self):
         # alpha * horizon <= 1 keeps no sorted rows; two (runs, horizon)
         # records per cell: k / 2 cells fill the budget
-        assert pack(sweep_sizes([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50)), 600) == [2, 2, 2, 1]
+        calls = sweep_calls([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50))
+        assert [len(call) for call in calls] == [2, 2, 2, 1]
 
     def test_other_kinds_play_one_cell_per_call(self):
-        assert sweep_sizes([UCB(c=0.5), MIN()], (3, 4, 50)) == [None, None]
-        assert pack(sweep_sizes([UCB(c=0.5)] * 3, (3, 4, 50)), 600) == [1, 1, 1]
-        assert pack(sweep_sizes([MIN()], (3, 4, 50)), 600) == [1]
+        assert sweep_calls([UCB(c=0.5), MIN()], (3, 4, 50)) == [[0], [1]]
+        assert sweep_calls([UCB(c=0.5)] * 3, (3, 4, 50)) == [[0], [1], [2]]
+        assert sweep_calls([MIN()], (3, 4, 50)) == [[0]]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
-        shape=st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)),
-    )
-    def test_no_call_breaks_a_bound(self, alphas, shape):
-        policies = [MaRaB(c=0.0, alpha=a) for a in alphas]
-        budget = shape[0] * shape[1] * shape[2]
-        sizes = pack(sweep_sizes(policies, shape), budget)
-        assert sum(sizes) == len(policies) and min(sizes) >= 1
-        start = 0
-        for size in sizes:
-            call = [_cell_floats(p, shape) for p in policies[start : start + size]]
-            start += size
-            if size > 1:
-                assert sum(rows for rows, _ in call) <= budget
-                assert sum(records for _, records in call) <= budget
-            # a call ends only where the next cell would break a bound
-            if start < len(policies):
-                rows, records = _cell_floats(policies[start], shape)
-                assert (
-                    sum(r for r, _ in call) + rows > budget
-                    or sum(r for _, r in call) + records > budget
-                )
+    @given(grid=marab_grids())
+    def test_no_call_breaks_a_bound(self, grid):
+        policies, shape = grid
+        budget = math.prod(shape)
+        calls = sweep_calls(policies, shape)
+        # every cell plays exactly once
+        assert sorted(i for call in calls for i in call) == list(range(len(policies)))
+        for n, call in enumerate(calls):
+            keys = {_tail_key(policies[i], shape[2]) for i in call}
+            # a call holds one schedule
+            assert len(keys) == 1
+            # a call of several cells keeps both bounds
+            floats = [_cell_floats(policies[i], shape) for i in call]
+            if len(call) > 1:
+                assert sum(rows for rows, _ in floats) <= budget
+                assert sum(records for _, records in floats) <= budget
+            # only a group's last call is short: a later call of the same
+            # schedule means this one could take no more cells
+            if any(_tail_key(policies[j[0]], shape[2]) in keys for j in calls[n + 1 :]):
+                rows, records = floats[0]
+                grown = len(call) + 1
+                assert grown * rows > budget or grown * records > budget
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        alphas=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=12),
-        shape=st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)),
-    )
-    def test_marab_sizes_are_sorted_rows_and_records(self, alphas, shape):
-        policies = [MaRaB(c=0.0, alpha=a) for a in alphas]
-        assert sweep_sizes(policies, shape) == [_cell_floats(p, shape) for p in policies]
+    @given(grid=marab_grids())
+    def test_marab_sizes_are_sorted_rows_and_records(self, grid):
+        # a call holds as many cells as its larger size fits in the array's
+        # size, and at least one; the cells of a schedule keep grid order
+        policies, shape = grid
+        for call in sweep_calls(policies, shape):
+            size = max(_cell_floats(policies[call[0]], shape))
+            assert len(call) <= max(1, math.prod(shape) // size)
+            assert call == sorted(call)

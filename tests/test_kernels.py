@@ -12,8 +12,9 @@ from riskbandit import (
     UCB,
     select_arm,
 )
-from riskbandit.harness import _play, draw_reward_table
+from riskbandit.harness import _play, draw_reward_table, sweep_calls
 from riskbandit.kernels import (
+    buffer_width,
     episode_expexp,
     episode_marab,
     episode_min,
@@ -128,21 +129,17 @@ class TestKernelProperties:
         check()
 
 
-# per-cell parameters for packed MaRaB calls: alphas run from
-# alpha * horizon <= 1 (horizon <= 120) to 0.999, and c = 0 is included
-PACKED_MARAB = st.builds(
-    MaRaB,
-    c=st.one_of(st.just(0.0), _weight),
-    alpha=st.one_of(st.floats(1e-4, 1 / 120), st.floats(0.005, 0.05), _unit, st.just(0.999)),
-)
-
-
 @st.composite
 def packed_cells(draw):
-    """Up to five cells drawn from a pool of up to three policies, so cells
-    repeat and equal parameters need not be adjacent."""
-    pool = draw(st.lists(PACKED_MARAB, min_size=1, max_size=3))
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    """One to five MaRaB cells of one tail schedule that vary ``c``, 0
+    included, so cells repeat and equal parameters need not be adjacent: one
+    alpha from a one-sample tail to 0.999, or alphas all in the MIN limit
+    (alpha * horizon <= 1 for every horizon up to 120)."""
+    cs = draw(st.lists(st.one_of(st.just(0.0), _weight), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        return [MaRaB(c=c, alpha=draw(st.floats(1e-4, 1 / 120))) for c in cs]
+    alpha = draw(st.one_of(st.floats(0.005, 0.05), _unit, st.just(0.999)))
+    return [MaRaB(c=c, alpha=alpha) for c in cs]
 
 
 class TestPackedCalls:
@@ -163,20 +160,50 @@ class TestPackedCalls:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_each_alpha_keeps_its_own_log_term(self, k, c):
         # the exploration term's log(ceil(t * alpha)) steps at different rounds
-        # for each alpha; with a small c the step decides some pulls
+        # for each alpha; with a small c the step decides some pulls.  A sweep
+        # plays each alpha's cells in calls of their own
         rng = np.random.default_rng(k)
         cells = [MaRaB(c=c, alpha=0.05), MaRaB(c=c, alpha=0.3), MaRaB(c=c, alpha=0.05)]
         for _ in range(5):
             batch = rng.random((2, k, 200))
-            chosen, rewards = _play(batch, *cells)
-            for i, policy in enumerate(cells):
-                lanes = slice(2 * i, 2 * i + 2)
-                assert_runs_match_reference(batch, policy, chosen[lanes], rewards[lanes])
+            calls = sweep_calls(cells, batch.shape)
+            assert sorted(i for call in calls for i in call) == [0, 1, 2]
+            for call in calls:
+                chosen, rewards = _play(batch, *[cells[i] for i in call])
+                for lane, i in enumerate(call):
+                    lanes = slice(2 * lane, 2 * lane + 2)
+                    assert_runs_match_reference(batch, cells[i], chosen[lanes], rewards[lanes])
+
+    def test_min_limit_plays_min_for_any_c(self):
+        # with alpha * horizon <= 1 every tail is the lowest reward and
+        # log 1 = 0 zeroes the exploration term, so MaRaB is MIN bit for bit
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(batch=tied_tables(), c=_weight, share=st.floats(1e-6, 1.0))
+        def check(batch, c, share):
+            policy = MaRaB(c=c, alpha=share / batch.shape[2])
+            assert buffer_width(policy.alpha, batch.shape[2]) == 0
+            for got, want in zip(_play(batch, policy), _play(batch, MIN())):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+        check()
+
+    def test_one_schedule_per_call(self, tables):
+        batch = tables[0]  # horizon 300
+        for cells in (
+            [MaRaB(c=0.5, alpha=0.2), MaRaB(c=0.5, alpha=0.3)],
+            [MaRaB(c=0.5, alpha=0.2), MaRaB(c=0.5, alpha=0.001)],
+            [UCB(c=0.5), UCB(c=1.0)],
+        ):
+            with pytest.raises(ValueError, match="one alpha"):
+                _play(batch, *cells)
+        # alphas in the MIN limit play one schedule
+        chosen, _ = _play(batch, MaRaB(c=0.0, alpha=0.001), MaRaB(c=2.0, alpha=0.003))
+        assert np.array_equal(chosen, np.tile(_play(batch, MIN())[0], (2, 1)))
 
     def test_cells_do_not_share_state(self, tables):
         # a packed call returns, cell by cell, what one-cell calls return
         batch = tables[0]
-        cells = [MaRaB(c=0.0, alpha=0.5), MaRaB(c=1.0, alpha=0.01), MaRaB(c=0.0, alpha=0.5)]
+        cells = [MaRaB(c=0.0, alpha=0.5), MaRaB(c=1.0, alpha=0.5), MaRaB(c=0.0, alpha=0.5)]
         chosen, rewards = _play(batch, *cells)
         runs = len(batch)
         for i, policy in enumerate(cells):
