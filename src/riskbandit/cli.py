@@ -42,13 +42,12 @@ from .config import (
 from .exceptions import ConfigError, DegenerateMixtureError
 from .generators import BanditProblem
 from .harness import (
-    STACK_FLOATS,
     RegretTotals,
     RunConfig,
     aggregate_regret,
     draw_tables,
     expand_grid,
-    pack,
+    run_groups,
     run_many,
     sorted_final_regret,
     sorted_reward_cdf,
@@ -141,9 +140,12 @@ class _Experiment:
         started_at = datetime.now(timezone.utc).isoformat()
         clock = time.perf_counter()
         spec = _apply_overrides(load_experiment_spec(args.spec), args)
-        out_dir = Path(spec.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return cls(spec, out_dir, _meta(spec), started_at, clock)
+        return cls(spec, Path(spec.out), _meta(spec), started_at, clock)
+
+    def make_out_dir(self) -> None:
+        """Called after validation, so a bad spec leaves no directory, and
+        before the first draw, so an unwritable one fails before any play."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_table(self, stem: str, header: list[str], rows) -> None:
         _write_table(self.out_dir, stem, self.spec.format, header, rows, self.meta)
@@ -206,7 +208,8 @@ def cmd_run(args) -> int:
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
-    groups = pack(spec.instances, spec.runs * problems[0].k * spec.horizon, STACK_FLOATS)
+    groups = run_groups(batches[0], spec.instances)
+    exp.make_out_dir()
     # groups of consecutive instances outermost: a group's reward tables are
     # drawn once into one stacked array, every policy plays all of its
     # instances in one call, and the array is dropped before the next
@@ -273,6 +276,7 @@ def cmd_sweep(args) -> int:
             grid_policies.append([cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})])
         except ConfigError as exc:
             raise entry_error(entry, exc) from None
+    exp.make_out_dir()
     tables = draw_tables(bases[0])
     cell_counts = {}
     play = {}

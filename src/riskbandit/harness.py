@@ -11,8 +11,11 @@ per *lane*.  One rule lays out every call (:func:`_play_batches`): lane
 ``cell * rows + i * runs + r`` plays run ``r`` of instance ``i``, of the
 ``rows`` stacked table rows, under the call's policy ``cell``.  A run plays
 one policy on stacked instances, a sweep MaRaB grid cells of one tail
-schedule on one instance; :func:`pack` and :func:`sweep_calls` decide how
-many of them share each call.
+schedule on one instance.  One budget sizes every call: a call may allocate
+at most :data:`STACK_FLOATS` floats, counting the reward rows it draws and,
+per lane, two ``horizon``-long records and MaRaB's ``k`` sorted buffer rows
+(:func:`run_groups`, :func:`sweep_calls`); a sweep draws its array before
+any call, so its calls count only their lanes.
 
 Two consequences worth relying on:
 
@@ -350,8 +353,8 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
     return cells
 
 
-# Floats of the stacked reward array of one run_many call (16 MiB): the
-# instances of a run share a call while their stacked array stays within it.
+# Floats one kernel call may allocate (16 MiB): the reward rows it draws,
+# plus each lane's two per-round records and MaRaB's sorted buffer rows.
 STACK_FLOATS = 2**21
 
 
@@ -366,16 +369,34 @@ def pack(n: int, size: int, budget: int) -> list[int]:
     return [per] * (n // per) + ([n % per] if n % per else [])
 
 
+def _lane_floats(policy: PolicyConfig, k: int, horizon: int) -> int:
+    """Floats one lane of ``policy`` allocates in a kernel call: its two
+    ``horizon``-long records, and for MaRaB its ``k`` sorted buffer rows of
+    :func:`~riskbandit.kernels.buffer_width` floats."""
+    width = kernels.buffer_width(policy.alpha, horizon) if policy.kind == "marab" else 0
+    return 2 * horizon + k * width
+
+
+def run_groups(configs: Sequence[RunConfig], instances: int) -> list[int]:
+    """How many of ``instances`` consecutive instances each call of a run
+    plays, given one instance's run configs, one per policy.  Every policy
+    plays the same groups, so an instance counts its reward rows and its
+    lanes at the largest lane size of any policy."""
+    first = configs[0]
+    k, horizon = first.problem.k, first.horizon
+    lane = max(_lane_floats(c.policy, k, horizon) for c in configs)
+    return pack(instances, first.n_runs * (k * horizon + lane), STACK_FLOATS)
+
+
 def sweep_calls(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[list[int]]:
     """The kernel calls of sweep cells on a ``(runs, k, horizon)`` array, as
     lists of cell indices.
 
     MaRaB cells of one tail schedule (:func:`_schedule`) form a group, the
     groups in order of their first cells, and :func:`pack` fills each
-    group's calls against the array's size.  A cell's size is its sorted
-    rows (``runs * k`` rows of :func:`~riskbandit.kernels.buffer_width`
-    floats) or its two ``(runs, horizon)`` records, whichever is larger.
-    Every other kind plays one cell per call.
+    group's calls against :data:`STACK_FLOATS`.  The array is drawn once
+    before any call, so a cell counts only its ``runs`` lanes.  Every other
+    kind plays one cell per call.
     """
     runs, k, horizon = shape
     groups: dict = {}
@@ -383,10 +404,8 @@ def sweep_calls(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -
         groups.setdefault(_schedule(p, horizon) if p.kind == "marab" else ("alone", i), []).append(i)
     calls = []
     for group in groups.values():
-        first = policies[group[0]]
-        width = kernels.buffer_width(first.alpha, horizon) if first.kind == "marab" else 0
         # every call of a group but the last holds as many cells as the first
-        per = pack(len(group), max(runs * k * width, 2 * runs * horizon), runs * k * horizon)[0]
+        per = pack(len(group), runs * _lane_floats(policies[group[0]], k, horizon), STACK_FLOATS)[0]
         calls += [group[i : i + per] for i in range(0, len(group), per)]
     return calls
 

@@ -12,12 +12,9 @@ several problem instances, which the kernels need not know.
 :func:`episode_marab` can also play several sweep cells of one tail schedule
 in one call: its ``c`` is then a sequence, one value per cell, and lane
 ``cell * rows + row`` plays table row ``row`` with its cell's ``c``, read
-through an offset in one flat gather, never copied.
-:func:`riskbandit.harness.pack` decides how many instances (within
-:data:`riskbandit.harness.STACK_FLOATS`), and
-:func:`riskbandit.harness.sweep_calls` which cells, share a call.  Kernels
-return ``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the
-1-based round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
+through an offset in one flat gather, never copied.  Kernels return
+``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the 1-based
+round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
 ``reward_seq[l, t-1]``.
 
 Per-arm statistics live in ``(lanes, k)`` arrays.  Each round computes every
@@ -72,9 +69,8 @@ class _Lockstep:
         self.counts = np.zeros((self.lanes, self.k), dtype=np.int64)
         self.flat_counts = self.counts.reshape(-1)
         self.arm0 = np.arange(self.lanes) * self.k  # flat (lane, arm) index of arm 0
-        # flat (run, arm) index of arm 0 in the lane's table; with one cell
-        # lane r is run r, so the (lane, arm) index serves
-        self.table_arm0 = None if cells == 1 else np.tile(np.arange(self.runs) * self.k, cells)
+        # flat (row, arm) index of arm 0 in each lane's table row
+        self.table_arm0 = np.tile(np.arange(self.runs) * self.k, cells)
         self.chosen = np.empty((self.lanes, self.horizon), dtype=np.int64)
         self.reward_seq = np.empty((self.lanes, self.horizon), dtype=np.float64)
 
@@ -87,8 +83,7 @@ class _Lockstep:
         ia = self.arm0 + a
         cnt = self.flat_counts[ia]
         self.flat_counts[ia] = cnt + 1
-        table_ia = ia if self.table_arm0 is None else self.table_arm0 + a
-        x = self.flat[table_ia * self.horizon + cnt]
+        x = self.flat[(self.table_arm0 + a) * self.horizon + cnt]
         self.chosen[:, t - 1] = a
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x

@@ -164,7 +164,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: problem.path: cannot read {target}: ")
         assert len(err.splitlines()) == 1
-        assert not list((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_nan_policy_parameter_exit_1(self, tmp_path, capsys):
         path = tmp_path / "nan.yaml"
@@ -204,7 +204,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: policies[1]: policy 'expexp': tau=2 cannot cover one pull of each of 3 arms")
         assert len(err.splitlines()) == 1
-        assert not list((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_each_instance_built_once(self, tmp_path, monkeypatch):
         built = []
@@ -281,14 +281,13 @@ class TestSweep:
         doc = json.loads((out / "sweep_summary.json").read_text())
         assert doc["command"] == "sweep"
         assert doc["cells"] == {"marab": 4, "min": 1}
-        # with k = 3 a call has room for the records of one cell only
-        assert doc["timing"]["play"]["marab"]["kernel_calls"] == 4
+        # the two cells of each alpha share one call
+        assert doc["timing"]["play"]["marab"]["kernel_calls"] == 2
         assert doc["timing"]["play"]["min"]["kernel_calls"] == 1
 
     def test_kernel_calls_count_packed_cells(self, tmp_path):
-        # with k = 8 the records of four MaRaB cells fit in the reward array's
-        # size, and alpha * horizon <= 1 keeps no sorted rows; UCB cells are
-        # never packed
+        # alpha * horizon <= 1 puts all four MaRaB cells in the MIN limit, one
+        # schedule whose records fit one call; UCB cells are never packed
         path = tmp_path / "sweep.yaml"
         path.write_text(
             SWEEP_TEXT.replace("k: 3", "k: 8")
@@ -324,7 +323,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert len(err.splitlines()) == 1
-        assert not list((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_labels_sharing_a_file_name_exit_1(self, tmp_path, capsys):
         path = tmp_path / "sweep.yaml"

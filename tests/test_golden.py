@@ -6,10 +6,12 @@ Together they play all five policies, MaRaB from a one-sample tail
 (alpha * horizon < 1) to nearly the whole history, and battery arms whose
 few recorded values make rewards tie.  A second sweep lists ``c`` before
 ``alpha`` and interleaves two MIN-limit alphas with two buffered ones, so
-its cells play out of grid order and must be written back in it.  The stdout of ``bound`` (with and
-without UCB mean gaps) and of ``check-lemma`` (one arm and the union over
-three, at ``t = 0`` and ``t = 10``, two seeds) is pinned the same way.  A
-change that moves one output byte fails here; a deliberate output change
+its cells play out of grid order and must be written back in it.  Each
+spec plays twice, under the default call budget and under one that puts
+every instance and every sweep cell in a call of its own; the digests must
+not move.  The stdout of ``bound`` (with and without UCB mean gaps) and of
+``check-lemma`` (one arm and the union over three, at ``t = 0`` and
+``t = 10``, two seeds) is pinned the same way.  A change that moves one output byte fails here; a deliberate output change
 must update the digests and name itself as a correctness fix.
 """
 
@@ -18,6 +20,7 @@ import json
 
 import pytest
 
+import riskbandit.harness as harness
 from riskbandit.cli import main
 
 RUN_TEXT = """\
@@ -145,29 +148,38 @@ def csv_digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.csv"))}
 
 
+# the default call budget, and one so small that every kernel call holds one
+# instance or one sweep cell: the plan never moves a byte
+BUDGETS = {"default": harness.STACK_FLOATS, "one_per_call": 1}
+
+
+def digests_per_budget(command, text, tmp_path, monkeypatch):
+    """Every CSV digest ``command`` writes for spec ``text``, under each budget."""
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(text)
+    digests = {}
+    for name, budget in BUDGETS.items():
+        monkeypatch.setattr(harness, "STACK_FLOATS", budget)
+        out = tmp_path / name
+        assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
+        digests[name] = csv_digests(out)
+    return digests
+
+
 @pytest.mark.parametrize("generator", sorted(PROBLEMS))
-def test_run_outputs_byte_identical(generator, tmp_path):
-    spec = tmp_path / "run.yaml"
-    spec.write_text(RUN_TEXT.format(problem=PROBLEMS[generator]))
-    out = tmp_path / "out"
-    assert main(["run", "--spec", str(spec), "--out", str(out)]) == 0
-    assert csv_digests(out) == RUN_DIGESTS[generator]
+def test_run_outputs_byte_identical(generator, tmp_path, monkeypatch):
+    digests = digests_per_budget("run", RUN_TEXT.format(problem=PROBLEMS[generator]), tmp_path, monkeypatch)
+    assert digests == dict.fromkeys(BUDGETS, RUN_DIGESTS[generator])
 
 
-def test_sweep_outputs_byte_identical(tmp_path):
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(SWEEP_TEXT)
-    out = tmp_path / "out"
-    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
-    assert csv_digests(out) == SWEEP_DIGESTS
+def test_sweep_outputs_byte_identical(tmp_path, monkeypatch):
+    digests = digests_per_budget("sweep", SWEEP_TEXT, tmp_path, monkeypatch)
+    assert digests == dict.fromkeys(BUDGETS, SWEEP_DIGESTS)
 
 
-def test_reordered_sweep_outputs_byte_identical(tmp_path):
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(REORDERED_SWEEP_TEXT)
-    out = tmp_path / "out"
-    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
-    assert csv_digests(out) == REORDERED_SWEEP_DIGESTS
+def test_reordered_sweep_outputs_byte_identical(tmp_path, monkeypatch):
+    digests = digests_per_budget("sweep", REORDERED_SWEEP_TEXT, tmp_path, monkeypatch)
+    assert digests == dict.fromkeys(BUDGETS, REORDERED_SWEEP_DIGESTS)
 
 
 BOUND_INPUTS = {

@@ -1,5 +1,5 @@
-import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,14 +22,15 @@ from riskbandit import (
     sorted_reward_cdf,
     sweep,
 )
+import riskbandit.harness as harness
 from riskbandit.config import load_experiment_spec, resolve_policy
 from riskbandit.harness import (
-    STACK_FLOATS,
     RegretTotals,
     draw_reward_table,
     draw_tables,
     expand_grid,
     pack,
+    run_groups,
     sweep_calls,
 )
 from riskbandit.kernels import tail_sizes
@@ -270,27 +271,94 @@ class TestStackedInstances:
             run_many(configs, draw_tables(small_cfg))
 
 
-class TestPackInstances:
-    def test_small_instances_share_one_call(self):
-        assert pack(5, 1000, STACK_FLOATS) == [5]
-        assert pack(5, STACK_FLOATS // 2, STACK_FLOATS) == [2, 2, 1]
+def _lane_floats(policy, k, horizon):
+    """Floats one lane allocates by the budget's rule: two ``horizon``-long
+    records, and MaRaB's ``k`` sorted rows of ``L + 1`` floats."""
+    rows = 0
+    if policy.kind == "marab":
+        L = int(tail_sizes(policy.alpha, horizon)[-1])
+        # a one-reward tail plays MIN and keeps no buffer
+        rows = 0 if L == 1 else k * (L + 1)
+    return 2 * horizon + rows
 
-    def test_oversized_instance_plays_alone(self):
-        assert pack(1, STACK_FLOATS + 1, STACK_FLOATS) == [1]
-        assert pack(3, STACK_FLOATS + 1, STACK_FLOATS) == [1, 1, 1]
-        assert pack(2, STACK_FLOATS, STACK_FLOATS) == [1, 1]
+
+def _instance_floats(configs):
+    """Floats one instance adds to a run's call: its reward rows, and its
+    lanes at the largest lane size of any of its policies."""
+    first = configs[0]
+    k, horizon = first.problem.k, first.horizon
+    lane = max(_lane_floats(c.policy, k, horizon) for c in configs)
+    return first.n_runs * (k * horizon + lane)
+
+
+def _tail_key(policy, horizon):
+    """Cells with equal keys play one tail schedule: one alpha, or the MIN limit."""
+    return None if tail_sizes(policy.alpha, horizon)[-1] == 1 else policy.alpha
+
+
+@st.composite
+def marab_grids(draw):
+    """Up to 12 MaRaB cells whose alphas repeat from a pool of up to four,
+    and a ``(runs, k, horizon)`` shape."""
+    pool = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    policies = [MaRaB(c=draw(st.sampled_from([0.0, 0.5, 2.0])), alpha=a) for a in alphas]
+    return policies, draw(st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)))
+
+
+@st.composite
+def run_plans(draw):
+    """One instance's run configs (1-5 policies of any kind on one problem)
+    and an instance count."""
+    runs = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 8))
+    horizon = draw(st.integers(k, 200))
+    policy = st.one_of(
+        st.builds(UCB, c=st.just(0.5)),
+        st.just(MIN()),
+        st.builds(MaRaB, c=st.just(0.5), alpha=st.floats(0.001, 0.999)),
+        st.builds(MVLCB, rho=st.just(1.0), delta=st.just(0.1)),
+        st.builds(ExpExp, rho=st.just(1.0), tau=st.integers(k, horizon)),
+    )
+    problem = gen_proof_of_concept(k=k)
+    configs = [
+        RunConfig(problem=problem, policy=p, horizon=horizon, seed=1, n_runs=runs)
+        for p in draw(st.lists(policy, min_size=1, max_size=5))
+    ]
+    return configs, draw(st.integers(0, 12))
+
+
+class TestPackInstances:
+    # small_cfg's instance: 6 runs of 4 arms, horizon 200, UCB
+    SIZE = 6 * (4 * 200 + 2 * 200)
+
+    def test_small_instances_share_one_call(self, small_cfg, monkeypatch):
+        assert _instance_floats([small_cfg]) == self.SIZE
+        assert run_groups([small_cfg], 5) == [5]
+        monkeypatch.setattr(harness, "STACK_FLOATS", 2 * self.SIZE)
+        assert run_groups([small_cfg], 5) == [2, 2, 1]
+
+    def test_oversized_instance_plays_alone(self, small_cfg, monkeypatch):
+        monkeypatch.setattr(harness, "STACK_FLOATS", self.SIZE - 1)
+        assert run_groups([small_cfg], 1) == [1]
+        assert run_groups([small_cfg], 3) == [1, 1, 1]
+        monkeypatch.setattr(harness, "STACK_FLOATS", self.SIZE)
+        assert run_groups([small_cfg], 2) == [1, 1]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(0, 12), size=st.integers(1, 2 * STACK_FLOATS))
-    def test_groups_fill_in_order_within_the_cap(self, n, size):
-        groups = pack(n, size, STACK_FLOATS)
+    @given(plan=run_plans(), budget=st.integers(1, 20000))
+    def test_groups_fill_in_order_within_the_cap(self, plan, budget):
+        configs, n = plan
+        size = _instance_floats(configs)
+        with mock.patch.object(harness, "STACK_FLOATS", budget):
+            groups = run_groups(configs, n)
         assert sum(groups) == n and all(g >= 1 for g in groups)
         for i, g in enumerate(groups):
             if g > 1:
-                assert g * size <= STACK_FLOATS
+                assert g * size <= budget
             # a group ends only where the next instance would break the cap
             if i < len(groups) - 1:
-                assert (g + 1) * size > STACK_FLOATS
+                assert (g + 1) * size > budget
 
 
 # every spec's kernel call plan: call sizes for each policy of a run, per
@@ -298,11 +366,15 @@ class TestPackInstances:
 SPEC_PLANS = [
     ("perfbench/specs/mixture_run.yaml", "run", [3]),
     ("perfbench/specs/plateau_run.yaml", "run", [1]),
-    ("perfbench/specs/alpha_sweep.yaml", "sweep", {"marab": [2, 2, 2, 1, 1], "min": [1]}),
+    ("perfbench/specs/alpha_sweep.yaml", "sweep", {"marab": [2, 2, 2, 2], "min": [1]}),
     ("recipes/mixture_regret.yaml", "run", [1] * 10),
     ("recipes/battery.yaml", "run", [1] * 10),
     ("recipes/plateau.yaml", "run", [1]),
-    ("recipes/marab_alpha_sweep.yaml", "sweep", {"marab": [4, 4, 4, 4, 3] + [1] * 9, "min": [1]}),
+    (
+        "recipes/marab_alpha_sweep.yaml",
+        "sweep",
+        {"marab": [4, 4, 4, 4, 3, 1, 2, 2, 1, 1, 1, 1], "min": [1]},
+    ),
 ]
 
 
@@ -317,32 +389,51 @@ class TestPack:
         assert all(m == max(1, budget // size) for m in calls[:-1])
         assert all(m * size <= budget for m in calls if m > 1)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(plan=run_plans(), grid=marab_grids(), budget=st.integers(1, 20000))
+    def test_no_call_exceeds_the_budget(self, plan, grid, budget):
+        # the one rule, for both planners: a call of several items allocates
+        # at most STACK_FLOATS floats; a run's call counts its instances'
+        # reward rows and lanes, a sweep's call (its array drawn beforehand)
+        # its lanes only
+        configs, n = plan
+        policies, (runs, k, horizon) = grid
+        with mock.patch.object(harness, "STACK_FLOATS", budget):
+            groups = run_groups(configs, n)
+            calls = sweep_calls(policies, (runs, k, horizon))
+        assert all(g * _instance_floats(configs) <= budget for g in groups if g > 1)
+        for call in calls:
+            if len(call) > 1:
+                assert sum(runs * _lane_floats(policies[i], k, horizon) for i in call) <= budget
+
     @pytest.mark.parametrize(
         "path, command, plan",
         SPEC_PLANS,
         ids=[Path(path).stem for path, _, _ in SPEC_PLANS],
     )
     def test_spec_call_plan(self, path, command, plan):
-        # the plans the CLI plays: a run stacks instances against STACK_FLOATS
-        # (one plan for every policy), a sweep groups each policy's grid cells
-        # by tail schedule and fills calls against the shared reward array
+        # the plans the CLI plays: a run stacks instances into calls (one plan
+        # for every policy), a sweep groups each policy's grid cells by tail
+        # schedule and fills their calls, both against STACK_FLOATS
         spec = load_experiment_spec(ROOT / path)
         k = spec.problem.params.get("k", spec.problem.params.get("n_arms"))
-        shape = (spec.runs, k, spec.horizon)
-        if command == "run":
-            assert pack(spec.instances, math.prod(shape), STACK_FLOATS) == plan
-            return
-        plans = {}
-        for entry in spec.policies:
-            base = RunConfig(
+        bases = [
+            RunConfig(
                 problem=gen_proof_of_concept(k=k),
                 policy=resolve_policy(entry, k, spec.horizon),
                 horizon=spec.horizon,
                 seed=spec.seed,
                 n_runs=spec.runs,
             )
+            for entry in spec.policies
+        ]
+        if command == "run":
+            assert run_groups(bases, spec.instances) == plan
+            return
+        plans = {}
+        for entry, base in zip(spec.policies, bases):
             policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
-            plans[entry.label] = [len(call) for call in sweep_calls(policies, shape)]
+            plans[entry.label] = [len(call) for call in sweep_calls(policies, (spec.runs, k, spec.horizon))]
         assert plans == plan
 
 
@@ -437,63 +528,45 @@ class TestSweep:
             sweep(small_cfg, {"alpha": [0.1]})  # UCB has no alpha
 
 
-def _cell_floats(policy, shape):
-    """A cell's MaRaB sorted rows and per-round records, in floats."""
-    runs, k, horizon = shape
-    rows = 0
-    if policy.kind == "marab":
-        L = int(tail_sizes(policy.alpha, horizon)[-1])
-        # a one-reward tail plays MIN and keeps no buffer
-        rows = 0 if L == 1 else runs * k * (L + 1)
-    return rows, 2 * runs * horizon
-
-
-def _tail_key(policy, horizon):
-    """Cells with equal keys play one tail schedule: one alpha, or the MIN limit."""
-    return None if tail_sizes(policy.alpha, horizon)[-1] == 1 else policy.alpha
-
-
-@st.composite
-def marab_grids(draw):
-    """Up to 12 MaRaB cells whose alphas repeat from a pool of up to four,
-    and a ``(runs, k, horizon)`` shape."""
-    pool = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
-    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
-    policies = [MaRaB(c=draw(st.sampled_from([0.0, 0.5, 2.0])), alpha=a) for a in alphas]
-    return policies, draw(st.tuples(st.integers(1, 5), st.integers(2, 12), st.integers(12, 300)))
-
-
 class TestPackCells:
-    def test_sweep_keeps_grid_order_across_calls(self, small_cfg):
+    def test_sweep_keeps_grid_order_across_calls(self, small_cfg, monkeypatch):
         import dataclasses
 
         base = dataclasses.replace(small_cfg, policy=MaRaB(c=0.001, alpha=0.2), n_runs=2)
         grid = {"c": [0.0, 1.0], "alpha": [0.01, 0.999, 0.3]}
+        # a budget of two alpha = 0.3 cells: a pair of alpha = 0.01 cells fits
+        # too, while one alpha = 0.999 cell keeps 201 sorted floats per arm and
+        # plays alone, so the grid takes several calls, some with several cells
+        k, horizon = base.problem.k, base.horizon
+        sizes = {a: 2 * _lane_floats(MaRaB(c=0.0, alpha=a), k, horizon) for a in grid["alpha"]}
+        monkeypatch.setattr(harness, "STACK_FLOATS", 2 * sizes[0.3])
+        assert 2 * sizes[0.01] <= harness.STACK_FLOATS < 2 * sizes[0.999]
         cells = sweep(base, grid)
         assert [c.params for c in cells] == [params for params, _ in expand_grid(base, grid)]
-        # cells play grouped by alpha, out of grid order; an alpha = 0.999 cell
-        # exceeds the sorted-rows bound on its own, so the grid takes several
-        # calls, one of them with several cells
+        # cells play grouped by alpha, out of grid order
         policies = [cfg.policy for _, cfg in expand_grid(base, grid)]
-        calls = sweep_calls(policies, (2, base.problem.k, base.horizon))
+        calls = sweep_calls(policies, (2, k, horizon))
         assert calls == [[0, 3], [1], [4], [2, 5]]
         for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
             finals = np.array([led.regret[-1] for led in run_many(cfg)])
             assert cell.mean_final_regret == finals.mean()
             assert cell.std_final_regret == finals.std()
 
-    def test_oversized_cell_runs_alone(self):
-        # budget 2 * 10 * 10 = 200 floats; alpha = 0.999 keeps L = 10, so its
-        # 2 * 10 * 11 = 220 sorted floats exceed the bound on their own, while
-        # alpha = 0.1 is in the MIN limit and needs only its 40 record floats
+    def test_oversized_cell_runs_alone(self, monkeypatch):
+        # budget 200 floats on (2, 10, 10); alpha = 0.999 keeps L = 10, so a
+        # cell's 2 * (2 * 10 + 10 * 11) = 260 floats exceed it on their own,
+        # while alpha = 0.1 is in the MIN limit and needs only its 40 record
+        # floats
+        monkeypatch.setattr(harness, "STACK_FLOATS", 200)
         small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
         assert sweep_calls([small, small, big, small], (2, 10, 10)) == [[0, 1, 3], [2]]
         assert sweep_calls([big], (2, 10, 10)) == [[0]]
         assert sweep_calls([big, big], (2, 10, 10)) == [[0], [1]]
 
-    def test_records_bound_cells_without_sorted_rows(self):
-        # alpha * horizon <= 1 keeps no sorted rows; two (runs, horizon)
-        # records per cell: k / 2 cells fill the budget
+    def test_records_bound_cells_without_sorted_rows(self, monkeypatch):
+        # alpha * horizon <= 1 keeps no sorted rows; a cell is its three
+        # runs' two records, 3 * 2 * 50 = 300 floats: two fill 600
+        monkeypatch.setattr(harness, "STACK_FLOATS", 600)
         calls = sweep_calls([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50))
         assert [len(call) for call in calls] == [2, 2, 2, 1]
 
@@ -503,36 +576,38 @@ class TestPackCells:
         assert sweep_calls([MIN()], (3, 4, 50)) == [[0]]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(grid=marab_grids())
-    def test_no_call_breaks_a_bound(self, grid):
+    @given(grid=marab_grids(), budget=st.integers(1, 50000))
+    def test_no_call_breaks_a_bound(self, grid, budget):
         policies, shape = grid
-        budget = math.prod(shape)
-        calls = sweep_calls(policies, shape)
+        runs, k, horizon = shape
+        with mock.patch.object(harness, "STACK_FLOATS", budget):
+            calls = sweep_calls(policies, shape)
         # every cell plays exactly once
         assert sorted(i for call in calls for i in call) == list(range(len(policies)))
         for n, call in enumerate(calls):
-            keys = {_tail_key(policies[i], shape[2]) for i in call}
+            keys = {_tail_key(policies[i], horizon) for i in call}
             # a call holds one schedule
             assert len(keys) == 1
-            # a call of several cells keeps both bounds
-            floats = [_cell_floats(policies[i], shape) for i in call]
+            # a call of several cells keeps the budget
+            size = runs * _lane_floats(policies[call[0]], k, horizon)
             if len(call) > 1:
-                assert sum(rows for rows, _ in floats) <= budget
-                assert sum(records for _, records in floats) <= budget
+                assert len(call) * size <= budget
             # only a group's last call is short: a later call of the same
             # schedule means this one could take no more cells
-            if any(_tail_key(policies[j[0]], shape[2]) in keys for j in calls[n + 1 :]):
-                rows, records = floats[0]
-                grown = len(call) + 1
-                assert grown * rows > budget or grown * records > budget
+            if any(_tail_key(policies[j[0]], horizon) in keys for j in calls[n + 1 :]):
+                assert (len(call) + 1) * size > budget
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(grid=marab_grids())
-    def test_marab_sizes_are_sorted_rows_and_records(self, grid):
-        # a call holds as many cells as its larger size fits in the array's
-        # size, and at least one; the cells of a schedule keep grid order
+    @given(grid=marab_grids(), budget=st.integers(1, 50000))
+    def test_marab_sizes_are_sorted_rows_and_records(self, grid, budget):
+        # a cell's size is its lanes' sorted rows plus their records; a call
+        # holds as many cells as fit in STACK_FLOATS, and at least one; the
+        # cells of a schedule keep grid order
         policies, shape = grid
-        for call in sweep_calls(policies, shape):
-            size = max(_cell_floats(policies[call[0]], shape))
-            assert len(call) <= max(1, math.prod(shape) // size)
+        runs, k, horizon = shape
+        with mock.patch.object(harness, "STACK_FLOATS", budget):
+            calls = sweep_calls(policies, shape)
+        for call in calls:
+            size = runs * _lane_floats(policies[call[0]], k, horizon)
+            assert len(call) <= max(1, budget // size)
             assert call == sorted(call)
