@@ -131,22 +131,27 @@ def _play(tables: np.ndarray, *policies: PolicyConfig):
     """Play every table row of ``tables`` under each of ``policies`` in one
     kernel call: lane ``cell * rows + row`` plays ``row``.  Several policies
     must be MaRaB cells of one tail schedule (:func:`_schedule`), which
-    differ only in ``c``."""
+    differ only in ``c``.  Cells in the MIN limit play MIN once, on the
+    ``rows`` lanes alone, whatever their number."""
     # kernel parameters are named after the policy's fields
     first = policies[0]
     params = {f.name: getattr(first, f.name) for f in dataclasses.fields(first)}
+    horizon = tables.shape[2]
     if len(policies) > 1:
-        horizon = tables.shape[2]
         if {p.kind for p in policies} != {"marab"} or len({_schedule(p, horizon) for p in policies}) > 1:
             raise ValueError("a kernel call takes MaRaB cells of one alpha, or cells all in the MIN limit")
         params["c"] = [p.c for p in policies]
+    if first.kind == "marab" and _schedule(first, horizon) is None:
+        # every tail is the lowest reward and log 1 = 0 zeroes the exploration
+        # term for any c, so every cell is MIN
+        return kernels.episode_min(tables)
     return getattr(kernels, f"episode_{first.kind}")(tables, **params)
 
 
 def _schedule(policy: PolicyConfig, horizon: int) -> float | None:
     """The tail schedule a MaRaB cell plays: its ``alpha``, or ``None`` in the
     MIN limit (``alpha * horizon <= 1``), where every tail is one reward."""
-    return policy.alpha if kernels.buffer_width(policy.alpha, horizon) else None
+    return policy.alpha if kernels.tail_sizes(policy.alpha, horizon)[-1] > 1 else None
 
 
 def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[RegretLedger]:
@@ -183,12 +188,17 @@ def _play_batches(
     instance-major, each accounted against its instance's problem; a policy
     is accounted only when its turn comes, so a caller that reduces each
     policy's ledgers before taking the next holds one policy's at a time.
+    MaRaB cells in the MIN limit play one set of lanes (:func:`_play`), so
+    they are accounted once and every cell gets the same read-only ledgers.
     """
     chosen, rewards = _play(tables, *policies)
-    shape = (len(policies), len(configs), -1, chosen.shape[1])
+    shape = (-1, len(configs), len(tables) // len(configs), chosen.shape[1])
     chosen, rewards = chosen.reshape(shape), rewards.reshape(shape)
     for cell in range(len(policies)):
-        yield [led for i, c in enumerate(configs) for led in _ledgers(c, chosen[cell, i], rewards[cell, i])]
+        if cell < len(chosen):
+            records = zip(configs, chosen[cell], rewards[cell])
+            ledgers = [led for c, ch, rw in records for led in _ledgers(c, ch, rw)]
+        yield ledgers
 
 
 def run_episode(cfg: RunConfig, run_index: int) -> RegretLedger:
@@ -371,10 +381,10 @@ def pack(n: int, size: int, budget: int) -> list[int]:
 
 def _lane_floats(policy: PolicyConfig, k: int, horizon: int) -> int:
     """Floats one lane of ``policy`` allocates in a kernel call: its two
-    ``horizon``-long records, and for MaRaB its ``k`` sorted buffer rows of
-    :func:`~riskbandit.kernels.buffer_width` floats."""
-    width = kernels.buffer_width(policy.alpha, horizon) if policy.kind == "marab" else 0
-    return 2 * horizon + k * width
+    ``horizon``-long records, and for MaRaB outside the MIN limit its ``k``
+    sorted rows of :func:`~riskbandit.kernels.buffer_width` floats."""
+    buffered = policy.kind == "marab" and _schedule(policy, horizon) is not None
+    return 2 * horizon + (k * kernels.buffer_width(policy.alpha, horizon) if buffered else 0)
 
 
 def run_groups(configs: Sequence[RunConfig], instances: int) -> list[int]:

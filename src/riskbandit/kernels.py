@@ -12,10 +12,11 @@ several problem instances, which the kernels need not know.
 :func:`episode_marab` can also play several sweep cells of one tail schedule
 in one call: its ``c`` is then a sequence, one value per cell, and lane
 ``cell * rows + row`` plays table row ``row`` with its cell's ``c``, read
-through an offset in one flat gather, never copied.  Kernels return
-``(chosen, reward_seq)``, both of shape ``(lanes, horizon)``: in the 1-based
-round ``t`` lane ``l`` pulled arm ``chosen[l, t-1]`` and observed
-``reward_seq[l, t-1]``.
+through an offset in one flat gather, never copied.  In MaRaB's MIN limit
+(``alpha * horizon <= 1``) it equals :func:`episode_min`, which the harness
+plays instead.  Kernels return ``(chosen, reward_seq)``, both of shape
+``(lanes, horizon)``: in the 1-based round ``t`` lane ``l`` pulled arm
+``chosen[l, t-1]`` and observed ``reward_seq[l, t-1]``.
 
 Per-arm statistics live in ``(lanes, k)`` arrays.  Each round computes every
 lane's and every arm's index in one elementwise array expression, picks each
@@ -50,13 +51,9 @@ def tail_sizes(alpha: float, horizon: int) -> np.ndarray:
 
 
 def buffer_width(alpha: float, horizon: int) -> int:
-    """Floats of MaRaB's sorted buffer per ``(lane, arm)``: ``L + 1``.
-
-    With ``alpha * horizon <= 1`` every tail is the single lowest reward
-    (MaRaB's MIN limit), so no buffer is kept and the width is 0.
-    """
-    L = int(tail_sizes(alpha, horizon)[-1])
-    return 0 if L == 1 else L + 1
+    """Floats of MaRaB's sorted buffer per ``(lane, arm)``: ``L + 1``, for the
+    longest tail ``L`` of :func:`tail_sizes`."""
+    return int(tail_sizes(alpha, horizon)[-1]) + 1
 
 
 class _Lockstep:
@@ -115,11 +112,7 @@ def episode_ucb(rewards, c):
 
 
 def episode_min(rewards):
-    return _min_loop(_Lockstep(rewards))
-
-
-def _min_loop(b):
-    # MIN's rounds on call ``b``; MaRaB's MIN limit plays them without calling episode_min
+    b = _Lockstep(rewards)
     mins = np.full((b.lanes, b.k), 2.0)
     flat_mins = mins.reshape(-1)
     for t in range(1, b.horizon + 1):
@@ -133,15 +126,9 @@ def episode_marab(rewards, c, alpha):
     """``c`` is a scalar (one cell) or one value per cell; every cell plays ``alpha``."""
     c = np.atleast_1d(c)
     width = buffer_width(alpha, rewards.shape[2])
-    if not width:
-        # every tail is the lowest reward and log 1 = 0 zeroes the exploration
-        # term for any c: the rows play MIN once, and every cell repeats it
-        chosen, reward_seq = _min_loop(_Lockstep(rewards))
-        return np.tile(chosen, (len(c), 1)), np.tile(reward_seq, (len(c), 1))
     b = _Lockstep(rewards, len(c))
-    # c as a (lanes, 1) column; with one cell a float, which numpy multiplies
-    # faster than a broadcast column
-    c = float(c[0]) if len(c) == 1 else np.repeat(c.astype(np.float64), b.runs)[:, None]
+    # c as a (lanes, 1) column: lane ``cell * runs + row`` takes its cell's c
+    c = np.repeat(c.astype(np.float64), b.runs)[:, None]
     # only the pulled arm's tail changes, so each arm's tail size and tail mean
     # are kept and refreshed after its pulls rather than rebuilt every round
     n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)

@@ -6,7 +6,9 @@ Together they play all five policies, MaRaB from a one-sample tail
 (alpha * horizon < 1) to nearly the whole history, and battery arms whose
 few recorded values make rewards tie.  A second sweep lists ``c`` before
 ``alpha`` and interleaves two MIN-limit alphas with two buffered ones, so
-its cells play out of grid order and must be written back in it.  Each
+its cells play out of grid order and must be written back in it.  A third
+``run`` spec plays MaRaB in the MIN limit (alpha * horizon = 1) beside MIN,
+and their tables' data rows must be equal.  Each
 spec plays twice, under the default call budget and under one that puts
 every instance and every sweep cell in a call of its own; the digests must
 not move.  The stdout of ``bound`` (with and without UCB mean gaps) and of
@@ -76,6 +78,17 @@ policies:
   - {policy: min}
 """
 
+MIN_LIMIT_RUN_TEXT = """\
+seed: 34
+horizon: 80
+runs: 3
+instances: 2
+problem: {generator: mixture, k: 4}
+policies:
+  - {policy: marab, c: 0.5, alpha: 0.0125}
+  - {policy: min}
+"""
+
 RUN_DIGESTS = {
     "battery": {
         "regret_curve_expexp.csv": "df4ff20e76993ac9036f9ec24d86d87d6b58156aca7cf75a4825e3f407afd522",
@@ -138,6 +151,17 @@ SWEEP_DIGESTS = {
     "sweep_ucb.csv": "dcf01d411a93daf4111944a90eec44082afdec260c41282c9f2b9549c6750c1c",
 }
 
+# MaRaB in the MIN limit writes MIN's tables: the config line names both
+MIN_LIMIT_RUN_DIGESTS = {
+    f"{stem}_{label}.csv": digest
+    for stem, digest in [
+        ("regret_curve", "a1910c0d65e472ef18f3fad182c18939652ad02550862edd661bdc6a56a91988"),
+        ("sorted_final_regret", "87c75b31d16dd837c25b4269fce3f10031c1d6f4dd8630319de491df6a8604d0"),
+        ("sorted_rewards", "fbb421871b45714d30692056ab8276644cb5e78c0e6ae6b0319d4b79656c5a48"),
+    ]
+    for label in ("marab", "min")
+}
+
 REORDERED_SWEEP_DIGESTS = {
     "sweep_marab.csv": "1b78bae313451983d0841925fc99df79509b1a5122bd87faa8d8223ffd400658",
     "sweep_min.csv": "21880295767d90fbad6ec10b824ba58e7c21089b1ce665f6250e8378b2ef63f9",
@@ -146,6 +170,11 @@ REORDERED_SWEEP_DIGESTS = {
 
 def csv_digests(out_dir):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out_dir.glob("*.csv"))}
+
+
+def data_rows(path):
+    """The lines of a CSV table after its ``#`` comment preamble."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
 # the default call budget, and one so small that every kernel call holds one
@@ -170,6 +199,15 @@ def digests_per_budget(command, text, tmp_path, monkeypatch):
 def test_run_outputs_byte_identical(generator, tmp_path, monkeypatch):
     digests = digests_per_budget("run", RUN_TEXT.format(problem=PROBLEMS[generator]), tmp_path, monkeypatch)
     assert digests == dict.fromkeys(BUDGETS, RUN_DIGESTS[generator])
+
+
+def test_min_limit_run_outputs_byte_identical(tmp_path, monkeypatch):
+    digests = digests_per_budget("run", MIN_LIMIT_RUN_TEXT, tmp_path, monkeypatch)
+    assert digests == dict.fromkeys(BUDGETS, MIN_LIMIT_RUN_DIGESTS)
+    for name in BUDGETS:
+        marab, min_ = (data_rows(tmp_path / name / f"regret_curve_{label}.csv") for label in ("marab", "min"))
+        # the header and one row per round
+        assert len(marab) == 81 and marab == min_
 
 
 def test_sweep_outputs_byte_identical(tmp_path, monkeypatch):

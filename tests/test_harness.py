@@ -611,3 +611,27 @@ class TestPackCells:
             size = runs * _lane_floats(policies[call[0]], k, horizon)
             assert len(call) <= max(1, budget // size)
             assert call == sorted(call)
+
+
+class TestCallMemory:
+    def test_min_limit_call_keeps_the_budget_rule(self):
+        # four MaRaB cells with alpha * horizon <= 1 play MIN once on the
+        # rows' lanes and are accounted once, so the call's peak, ledgers
+        # included, stays within the rule that sizes it: each cell's lanes'
+        # two records
+        import tracemalloc
+
+        runs, k, horizon = 40, 20, 2000
+        cfg = RunConfig(problem=gen_proof_of_concept(k=k), policy=MIN(), horizon=horizon, seed=7, n_runs=runs)
+        tables = np.random.default_rng(7).random((runs, k, horizon))
+        policies = [MaRaB(c=c, alpha=0.5 / horizon) for c in (0.0, 0.001, 1.0, 1000.0)]
+        assert sweep_calls(policies, tables.shape) == [[0, 1, 2, 3]]
+        rule = 8 * sum(runs * _lane_floats(p, k, horizon) for p in policies)
+        tracemalloc.start()
+        try:
+            for ledgers in harness._play_batches(tables, [cfg], policies):
+                assert len(ledgers) == runs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rule

@@ -12,7 +12,7 @@ from riskbandit import (
     UCB,
     select_arm,
 )
-from riskbandit.harness import _play, draw_reward_table, sweep_calls
+from riskbandit.harness import _play, _schedule, draw_reward_table, sweep_calls
 from riskbandit.kernels import (
     buffer_width,
     episode_expexp,
@@ -147,11 +147,13 @@ class TestPackedCalls:
         @settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @given(batch=tied_tables(), cells=packed_cells())
         def check(batch, cells):
-            runs = len(batch)
+            runs, horizon = len(batch), batch.shape[2]
             chosen, rewards = _play(batch, *cells)
-            assert chosen.shape == rewards.shape == (len(cells) * runs, batch.shape[2])
+            # cells in the MIN limit all play MIN on one set of `runs` lanes
+            min_limit = _schedule(cells[0], horizon) is None
+            assert chosen.shape == rewards.shape == ((1 if min_limit else len(cells)) * runs, horizon)
             for i, policy in enumerate(cells):
-                lanes = slice(i * runs, (i + 1) * runs)
+                lanes = slice(0, runs) if min_limit else slice(i * runs, (i + 1) * runs)
                 assert_runs_match_reference(batch, policy, chosen[lanes], rewards[lanes])
 
         check()
@@ -176,14 +178,19 @@ class TestPackedCalls:
 
     def test_min_limit_plays_min_for_any_c(self):
         # with alpha * horizon <= 1 every tail is the lowest reward and
-        # log 1 = 0 zeroes the exploration term, so MaRaB is MIN bit for bit
+        # log 1 = 0 zeroes the exploration term, so MaRaB is MIN bit for bit:
+        # the harness plays it as MIN, and the general kernel, whose buffer
+        # keeps one reward, agrees
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(batch=tied_tables(), c=_weight, share=st.floats(1e-6, 1.0))
         def check(batch, c, share):
             policy = MaRaB(c=c, alpha=share / batch.shape[2])
-            assert buffer_width(policy.alpha, batch.shape[2]) == 0
-            for got, want in zip(_play(batch, policy), _play(batch, MIN())):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert _schedule(policy, batch.shape[2]) is None
+            assert buffer_width(policy.alpha, batch.shape[2]) == 2
+            want = _play(batch, MIN())
+            for played in (_play(batch, policy), episode_marab(batch, c, policy.alpha)):
+                for got, expected in zip(played, want):
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
         check()
 
@@ -196,9 +203,10 @@ class TestPackedCalls:
         ):
             with pytest.raises(ValueError, match="one alpha"):
                 _play(batch, *cells)
-        # alphas in the MIN limit play one schedule
-        chosen, _ = _play(batch, MaRaB(c=0.0, alpha=0.001), MaRaB(c=2.0, alpha=0.003))
-        assert np.array_equal(chosen, np.tile(_play(batch, MIN())[0], (2, 1)))
+        # alphas in the MIN limit play one schedule: MIN, once, for every cell
+        played = _play(batch, MaRaB(c=0.0, alpha=0.001), MaRaB(c=2.0, alpha=0.003))
+        for got, want in zip(played, _play(batch, MIN())):
+            assert np.array_equal(got, want)
 
     def test_cells_do_not_share_state(self, tables):
         # a packed call returns, cell by cell, what one-cell calls return
