@@ -30,6 +30,9 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .config import (
     ExperimentSpec,
     build_problem,
@@ -47,12 +50,11 @@ from .harness import (
     aggregate_regret,
     draw_tables,
     expand_grid,
-    run_groups,
     run_many,
+    run_plan,
     sorted_final_regret,
     sorted_reward_cdf,
     sweep,
-    sweep_calls,
 )
 from .rng import EPISODE_DOMAIN, derive_seed, validate_seed
 from .theory import (
@@ -68,6 +70,8 @@ from .distributions import UniformSegment
 
 CSV_SCHEMA = "riskbandit-csv 1"
 JSON_SCHEMA = "riskbandit-json 1"
+# what wrote the tables, recorded in every summary
+VERSIONS = {"riskbandit": __version__, "python": sys.version.split()[0], "numpy": np.__version__}
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +157,9 @@ class _Experiment:
     def close(self, command: str, name: str, results: dict, play: dict) -> None:
         """Write the summary file ``name``, with ``results`` under their own keys.
 
-        ``play`` maps each policy label to its kernel calls and the seconds
-        spent in them and in their regret accounting; it goes under
-        ``timing``, outside byte identity.
+        ``play`` maps each policy label to its plan, each kernel call's
+        items, and the seconds spent in those calls and their regret
+        accounting; it goes under ``timing``, outside byte identity.
         """
         _write_summary(
             self.out_dir,
@@ -167,12 +171,13 @@ class _Experiment:
                 # episodes always run in one thread; the key stays for existing readers
                 "config": {**resolved_config_dict(self.spec), "threads": 1},
                 **results,
+                "versions": VERSIONS,
                 "timing": {
                     "started_at": self.started_at,
                     "wall_seconds": round(time.perf_counter() - self.clock, 3),
                     "play": {
-                        label: {"kernel_calls": calls, "seconds": round(seconds, 3)}
-                        for label, (calls, seconds) in play.items()
+                        label: {"kernel_calls": len(plan), "plan": plan, "seconds": round(seconds, 3)}
+                        for label, (plan, seconds) in play.items()
                     },
                 },
             },
@@ -208,25 +213,19 @@ def cmd_run(args) -> int:
     totals = [RegretTotals() for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
-    groups = run_groups(batches[0], spec.instances)
+    plan = run_plan(batches[0], spec.instances)
     exp.make_out_dir()
-    # groups of consecutive instances outermost: a group's reward tables are
-    # drawn once into one stacked array, every policy plays all of its
-    # instances in one call, and the array is dropped before the next
-    # group's is drawn
-    start = 0
-    for size in groups:
-        group = batches[start : start + size]
-        start += size
-        tables = draw_tables([configs[0] for configs in group])
+    # each call's instances' reward tables are drawn once into one stacked
+    # array, played by every policy, and dropped before the next call's
+    for call in plan:
+        tables = draw_tables([batches[inst][0] for inst in call])
         for i, (tally, finals) in enumerate(zip(totals, per_instance_final)):
             clock = time.perf_counter()
-            ledgers = run_many([configs[i] for configs in group], tables)
+            ledgers = run_many([batches[inst][i] for inst in call], tables)
             play_seconds[i] += time.perf_counter() - clock
             tally.add(ledgers)
-            for inst in range(size):
-                batch = ledgers[inst * spec.runs : (inst + 1) * spec.runs]
-                finals.append(sum(led.regret[-1] for led in batch) / len(batch))
+            for n in range(0, len(ledgers), spec.runs):
+                finals.append(sum(led.regret[-1] for led in ledgers[n : n + spec.runs]) / spec.runs)
         del tables
 
     policy_stats = {}
@@ -257,9 +256,7 @@ def cmd_run(args) -> int:
             "mean_final_regret": float(curve.mean_regret[-1]),
             "mean_final_regret_emp": float(curve.mean_regret_emp[-1]),
         }
-    play = {
-        entry.label: (len(groups), seconds) for entry, seconds in zip(spec.policies, play_seconds)
-    }
+    play = {entry.label: (plan, seconds) for entry, seconds in zip(spec.policies, play_seconds)}
     exp.close("run", "summary.json", {"policies": policy_stats}, play)
     return 0
 
@@ -270,22 +267,23 @@ def cmd_sweep(args) -> int:
     bases = _run_configs(spec, build_problem(spec.problem, spec.seed, 0), 0)
     # every cell of every policy is validated before the first one runs, so a
     # bad grid value leaves no partial output behind
-    grid_policies = []
     for entry, base in zip(spec.policies, bases):
         try:
-            grid_policies.append([cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})])
+            expand_grid(base, entry.sweep or {})
         except ConfigError as exc:
             raise entry_error(entry, exc) from None
     exp.make_out_dir()
     tables = draw_tables(bases[0])
     cell_counts = {}
     play = {}
-    for entry, base, policies in zip(spec.policies, bases, grid_policies):
+    for entry, base in zip(spec.policies, bases):
         grid = entry.sweep or {}
-        calls = len(sweep_calls(policies, tables.shape))
         start = time.perf_counter()
         cells = sweep(base, grid, tables)
-        play[entry.label] = (calls, time.perf_counter() - start)
+        seconds = time.perf_counter() - start
+        calls = [cell.call for cell in cells]
+        plan = [[i for i, c in enumerate(calls) if c == n] for n in range(max(calls) + 1)]
+        play[entry.label] = (plan, seconds)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{sanitize_label(entry.label)}",

@@ -11,11 +11,11 @@ per *lane*.  One rule lays out every call (:func:`_play_batches`): lane
 ``cell * rows + i * runs + r`` plays run ``r`` of instance ``i``, of the
 ``rows`` stacked table rows, under the call's policy ``cell``.  A run plays
 one policy on stacked instances, a sweep MaRaB grid cells of one tail
-schedule on one instance.  One budget sizes every call: a call may allocate
-at most :data:`STACK_FLOATS` floats, counting the reward rows it draws and,
-per lane, two ``horizon``-long records and MaRaB's ``k`` sorted buffer rows
-(:func:`run_groups`, :func:`sweep_calls`); a sweep draws its array before
-any call, so its calls count only their lanes.
+schedule on one instance.  A command's calls are planned once, as each
+call's instances or cells (:func:`run_plan`, :func:`sweep_plan`), under one
+budget: a call may allocate at most :data:`STACK_FLOATS` floats, counting
+the reward rows it draws and what each lane allocates
+(:func:`_lane_floats`); a sweep draws its array before any call.
 
 Two consequences worth relying on:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,13 +155,13 @@ def _schedule(policy: PolicyConfig, horizon: int) -> float | None:
 
 
 def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[RegretLedger]:
-    """Account each run's regret from its ``(runs, horizon)`` records."""
-    runs, k = len(chosen), cfg.problem.k
-    regret = np.cumsum(cfg.problem.margins_mean[chosen], axis=1)
+    """Account each run's regret from its ``(runs, horizon)`` records, summing in place."""
+    regret = cfg.problem.margins_mean[chosen]
+    np.cumsum(regret, axis=1, out=regret)
     t = np.arange(1, cfg.horizon + 1, dtype=np.float64)
-    regret_emp = t * cfg.problem.mu_star - np.cumsum(rewards, axis=1)
-    flat_arm = chosen + k * np.arange(runs)[:, None]
-    pull_counts = np.bincount(flat_arm.ravel(), minlength=runs * k).reshape(runs, k)
+    regret_emp = np.cumsum(rewards, axis=1)
+    np.subtract(t * cfg.problem.mu_star, regret_emp, out=regret_emp)
+    pull_counts = np.array([np.bincount(row, minlength=cfg.problem.k) for row in chosen])
     for arr in (chosen, rewards, regret, regret_emp, pull_counts):
         arr.flags.writeable = False
     return [
@@ -172,7 +172,7 @@ def _ledgers(cfg: RunConfig, chosen: np.ndarray, rewards: np.ndarray) -> list[Re
             regret_emp=regret_emp[r],
             pull_counts=pull_counts[r],
         )
-        for r in range(runs)
+        for r in range(len(chosen))
     ]
 
 
@@ -327,12 +327,13 @@ def sorted_final_regret(per_instance_regrets: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SweepCell:
-    """Aggregate of one grid cell: the overridden parameters and final regrets."""
+    """Aggregate of one grid cell: its parameters, final regrets, and the call that played it."""
 
     params: dict
     mean_final_regret: float
     mean_final_regret_emp: float
     std_final_regret: float
+    call: int
 
 
 def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
@@ -364,60 +365,58 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
 
 
 # Floats one kernel call may allocate (16 MiB): the reward rows it draws,
-# plus each lane's two per-round records and MaRaB's sorted buffer rows.
+# plus :func:`_lane_floats` for each lane it plays.
 STACK_FLOATS = 2**21
-
-
-def pack(n: int, size: int, budget: int) -> list[int]:
-    """How many of ``n`` equal items, in order, each kernel call plays.
-
-    A call takes as many items of ``size`` floats as fit in ``budget``, and
-    always at least one, so an item over the budget plays alone; only the
-    last call may be short.
-    """
-    per = max(1, budget // size)
-    return [per] * (n // per) + ([n % per] if n % per else [])
 
 
 def _lane_floats(policy: PolicyConfig, k: int, horizon: int) -> int:
     """Floats one lane of ``policy`` allocates in a kernel call: its two
-    ``horizon``-long records, and for MaRaB outside the MIN limit its ``k``
-    sorted rows of :func:`~riskbandit.kernels.buffer_width` floats."""
+    ``horizon``-long records, plus the larger of its two ledger regret rows
+    and, for MaRaB outside the MIN limit, its ``k`` sorted rows of
+    :func:`~riskbandit.kernels.buffer_width` floats and about five more such
+    rows of per-round temporaries."""
     buffered = policy.kind == "marab" and _schedule(policy, horizon) is not None
-    return 2 * horizon + (k * kernels.buffer_width(policy.alpha, horizon) if buffered else 0)
+    width = kernels.buffer_width(policy.alpha, horizon) if buffered else 0
+    return 2 * horizon + max(2 * horizon, (k + 5) * width)
 
 
-def run_groups(configs: Sequence[RunConfig], instances: int) -> list[int]:
-    """How many of ``instances`` consecutive instances each call of a run
-    plays, given one instance's run configs, one per policy.  Every policy
-    plays the same groups, so an instance counts its reward rows and its
-    lanes at the largest lane size of any policy."""
+def _pack(keys: Sequence, floats: Callable[[list[int]], int]) -> list[list[int]]:
+    """Kernel calls of items ``0..n-1``, as lists of item indices in order
+    of their first items.  An item joins the last call of its key while
+    ``floats(call)`` keeps within :data:`STACK_FLOATS`, and always when it
+    adds no floats; otherwise it opens a call of its own."""
+    calls, last = [], {}
+    for i, key in enumerate(keys):
+        call = last.get(key)
+        if call and floats(call + [i]) <= max(STACK_FLOATS, floats(call)):
+            call.append(i)
+        else:
+            last[key] = [i]
+            calls.append(last[key])
+    return calls
+
+
+def run_plan(configs: Sequence[RunConfig], instances: int) -> list[list[int]]:
+    """The kernel calls of a run, as lists of instance indices, given one
+    instance's run configs, one per policy.  Every policy plays the same
+    calls, each on one :func:`draw_tables` array, so an instance counts its
+    reward rows and its lanes at the largest lane size of any policy."""
     first = configs[0]
     k, horizon = first.problem.k, first.horizon
-    lane = max(_lane_floats(c.policy, k, horizon) for c in configs)
-    return pack(instances, first.n_runs * (k * horizon + lane), STACK_FLOATS)
+    size = first.n_runs * (k * horizon + max(_lane_floats(c.policy, k, horizon) for c in configs))
+    return _pack([None] * instances, lambda call: len(call) * size)
 
 
-def sweep_calls(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[list[int]]:
+def sweep_plan(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[list[int]]:
     """The kernel calls of sweep cells on a ``(runs, k, horizon)`` array, as
-    lists of cell indices.
-
-    MaRaB cells of one tail schedule (:func:`_schedule`) form a group, the
-    groups in order of their first cells, and :func:`pack` fills each
-    group's calls against :data:`STACK_FLOATS`.  The array is drawn once
-    before any call, so a cell counts only its ``runs`` lanes.  Every other
-    kind plays one cell per call.
-    """
+    lists of cell indices.  MaRaB cells of one tail schedule may share a
+    call; any other cell plays alone.  The array is drawn before any call,
+    so a call counts only its lanes."""
     runs, k, horizon = shape
-    groups: dict = {}
-    for i, p in enumerate(policies):
-        groups.setdefault(_schedule(p, horizon) if p.kind == "marab" else ("alone", i), []).append(i)
-    calls = []
-    for group in groups.values():
-        # every call of a group but the last holds as many cells as the first
-        per = pack(len(group), runs * _lane_floats(policies[group[0]], k, horizon), STACK_FLOATS)[0]
-        calls += [group[i : i + per] for i in range(0, len(group), per)]
-    return calls
+    keys = [_schedule(p, horizon) if p.kind == "marab" else ("alone", i) for i, p in enumerate(policies)]
+    size = [runs * _lane_floats(p, k, horizon) for p in policies]
+    # cells in the MIN limit play one set of lanes (:func:`_play`), so they share one call
+    return _pack(keys, lambda call: size[call[0]] * (1 if keys[call[0]] is None else len(call)))
 
 
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:
@@ -425,21 +424,21 @@ def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list
 
     Every cell reuses the base seed, so all cells play the one ``tables``
     array (drawn here when not given) and differ only in the policy
-    parameters.  The cells are played as the lanes of the few kernel calls
-    :func:`sweep_calls` plans and returned in grid order; each call's
-    records are dropped before the next call starts.
+    parameters.  The cells are played as the lanes of :func:`sweep_plan`'s
+    kernel calls and returned in grid order, each with its call's index;
+    each call's records are dropped before the next call starts.
     """
     cells = expand_grid(base, grid)
     tables = _tables([base], tables)
     policies = [cfg.policy for _, cfg in cells]
     results = [None] * len(cells)
-    for call in sweep_calls(policies, tables.shape):
+    for n, call in enumerate(sweep_plan(policies, tables.shape)):
         for i, ledgers in zip(call, _play_batches(tables, [base], [policies[i] for i in call])):
-            results[i] = _sweep_cell(cells[i][0], ledgers)
+            results[i] = _sweep_cell(cells[i][0], n, ledgers)
     return results
 
 
-def _sweep_cell(params: dict, ledgers: list[RegretLedger]) -> SweepCell:
+def _sweep_cell(params: dict, call: int, ledgers: list[RegretLedger]) -> SweepCell:
     finals = np.array([led.regret[-1] for led in ledgers])
     finals_emp = np.array([led.regret_emp[-1] for led in ledgers])
     return SweepCell(
@@ -447,4 +446,5 @@ def _sweep_cell(params: dict, ledgers: list[RegretLedger]) -> SweepCell:
         mean_final_regret=float(finals.mean()),
         mean_final_regret_emp=float(finals_emp.mean()),
         std_final_regret=float(finals.std()),
+        call=call,
     )

@@ -199,10 +199,10 @@ def episode_expexp(rewards, rho, tau):
         else:
             # commit for good: the rest of the episode is the arm's next pulls
             a = (m2 / b.counts - rho * (run_sum / b.counts)).argmin(axis=1)
-            rr = np.arange(b.runs)[:, None]
-            u = b.counts[rr, a[:, None]] + np.arange(b.horizon - t + 1)
             b.chosen[:, t - 1 :] = a[:, None]
-            b.reward_seq[:, t - 1 :] = rewards[rr, a[:, None], u]
+            cnt = b.counts[np.arange(b.lanes), a].tolist()
+            for lane, (arm, u) in enumerate(zip(a.tolist(), cnt)):
+                b.reward_seq[lane, t - 1 :] = rewards[lane, arm, u : u + b.horizon - t + 1]
             break
         ia, cnt, x = b.pull(t, a)
         _welford(flat_sum, flat_m2, ia, cnt, x)

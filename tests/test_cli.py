@@ -1,8 +1,11 @@
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
 
+import riskbandit
 import riskbandit.cli as cli
 import riskbandit.harness as harness
 from riskbandit.cli import main
@@ -93,12 +96,21 @@ class TestRun:
             assert isinstance(stats["mean_final_regret"], float)
             assert isinstance(stats["mean_final_regret_emp"], float)
         assert set(doc["timing"]) == {"started_at", "wall_seconds", "play"}
-        # one kernel call per (instance, policy)
+        # one kernel call per (instance, policy), and the plan that played it
         assert {label: play["kernel_calls"] for label, play in doc["timing"]["play"].items()} == {
             "ucb": 1,
             "min": 1,
         }
+        assert {label: play["plan"] for label, play in doc["timing"]["play"].items()} == {
+            "ucb": [[0]],
+            "min": [[0]],
+        }
         assert all(play["seconds"] >= 0.0 for play in doc["timing"]["play"].values())
+        assert doc["versions"] == {
+            "riskbandit": riskbandit.__version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
 
     def test_rerun_byte_identical(self, spec_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -235,15 +247,24 @@ class TestRun:
         assert len(drawn) == 3 * 2
         assert len(set(drawn)) == len(drawn)
 
-    def test_instances_share_one_kernel_call_per_policy(self, tmp_path):
+    def test_instances_share_one_kernel_call_per_policy(self, tmp_path, monkeypatch):
         path = tmp_path / "exp.yaml"
         path.write_text(SPEC_TEXT + "instances: 3\n")  # two policies
         out = tmp_path / "out"
         assert main(["run", "--spec", str(path), "--out", str(out)]) == 0
         play = json.loads((out / "summary.json").read_text())["timing"]["play"]
         assert {label: p["kernel_calls"] for label, p in play.items()} == {"ucb": 1, "min": 1}
+        assert {label: p["plan"] for label, p in play.items()} == {"ucb": [[0, 1, 2]], "min": [[0, 1, 2]]}
         _, rows = read_csv(out / "sorted_final_regret_ucb.csv")
         assert len(rows) == 1 + 3  # one final regret per instance
+        # a budget one instance breaks plays each in a call of its own, and
+        # the summary records that plan
+        monkeypatch.setattr(harness, "STACK_FLOATS", 1)
+        assert main(["run", "--spec", str(path), "--out", str(tmp_path / "alone")]) == 0
+        play = json.loads((tmp_path / "alone" / "summary.json").read_text())["timing"]["play"]
+        assert {label: p["plan"] for label, p in play.items()} == {"ucb": [[0], [1], [2]], "min": [[0], [1], [2]]}
+        for name in ("regret_curve_ucb.csv", "sorted_final_regret_min.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
     def test_unallocatable_tables_exit_2(self, tmp_path, capsys):
         # numpy refuses the 437 TiB reward array up front, allocating nothing
@@ -283,7 +304,27 @@ class TestSweep:
         assert doc["cells"] == {"marab": 4, "min": 1}
         # the two cells of each alpha share one call
         assert doc["timing"]["play"]["marab"]["kernel_calls"] == 2
+        assert doc["timing"]["play"]["marab"]["plan"] == [[0, 2], [1, 3]]
         assert doc["timing"]["play"]["min"]["kernel_calls"] == 1
+        assert doc["timing"]["play"]["min"]["plan"] == [[0]]
+        assert doc["versions"]["riskbandit"] == riskbandit.__version__
+
+    def test_plans_each_grid_once(self, tmp_path, monkeypatch):
+        # the command reads its plan from the cells sweep returns; it holds
+        # no planner of its own
+        planned = []
+        real_plan = harness.sweep_plan
+
+        def counting_plan(policies, shape):
+            planned.append(len(policies))
+            return real_plan(policies, shape)
+
+        monkeypatch.setattr(harness, "sweep_plan", counting_plan)
+        path = tmp_path / "sweep.yaml"
+        path.write_text(SWEEP_TEXT)
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert planned == [4, 1]
+        assert "sweep_plan" not in vars(cli)
 
     def test_kernel_calls_count_packed_cells(self, tmp_path):
         # alpha * horizon <= 1 puts all four MaRaB cells in the MIN limit, one

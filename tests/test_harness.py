@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 from unittest import mock
 
@@ -29,9 +30,8 @@ from riskbandit.harness import (
     draw_reward_table,
     draw_tables,
     expand_grid,
-    pack,
-    run_groups,
-    sweep_calls,
+    run_plan,
+    sweep_plan,
 )
 from riskbandit.kernels import tail_sizes
 
@@ -273,13 +273,14 @@ class TestStackedInstances:
 
 def _lane_floats(policy, k, horizon):
     """Floats one lane allocates by the budget's rule: two ``horizon``-long
-    records, and MaRaB's ``k`` sorted rows of ``L + 1`` floats."""
-    rows = 0
+    records, plus the larger of two ledger regret rows and MaRaB's ``k``
+    sorted rows of ``L + 1`` floats with five more rows of temporaries."""
+    buffer = 0
     if policy.kind == "marab":
         L = int(tail_sizes(policy.alpha, horizon)[-1])
         # a one-reward tail plays MIN and keeps no buffer
-        rows = 0 if L == 1 else k * (L + 1)
-    return 2 * horizon + rows
+        buffer = 0 if L == 1 else (k + 5) * (L + 1)
+    return 2 * horizon + max(2 * horizon, buffer)
 
 
 def _instance_floats(configs):
@@ -294,6 +295,17 @@ def _instance_floats(configs):
 def _tail_key(policy, horizon):
     """Cells with equal keys play one tail schedule: one alpha, or the MIN limit."""
     return None if tail_sizes(policy.alpha, horizon)[-1] == 1 else policy.alpha
+
+
+def _cell_lanes(policies, horizon):
+    """How many sets of lanes a call of ``policies`` plays: MaRaB cells in the
+    MIN limit play one, whatever their number."""
+    min_limit = policies[0].kind == "marab" and _tail_key(policies[0], horizon) is None
+    return 1 if min_limit else len(policies)
+
+
+def _sizes(calls):
+    return [len(call) for call in calls]
 
 
 @st.composite
@@ -330,20 +342,20 @@ def run_plans(draw):
 
 class TestPackInstances:
     # small_cfg's instance: 6 runs of 4 arms, horizon 200, UCB
-    SIZE = 6 * (4 * 200 + 2 * 200)
+    SIZE = 6 * (4 * 200 + 4 * 200)
 
     def test_small_instances_share_one_call(self, small_cfg, monkeypatch):
         assert _instance_floats([small_cfg]) == self.SIZE
-        assert run_groups([small_cfg], 5) == [5]
+        assert run_plan([small_cfg], 5) == [[0, 1, 2, 3, 4]]
         monkeypatch.setattr(harness, "STACK_FLOATS", 2 * self.SIZE)
-        assert run_groups([small_cfg], 5) == [2, 2, 1]
+        assert run_plan([small_cfg], 5) == [[0, 1], [2, 3], [4]]
 
     def test_oversized_instance_plays_alone(self, small_cfg, monkeypatch):
         monkeypatch.setattr(harness, "STACK_FLOATS", self.SIZE - 1)
-        assert run_groups([small_cfg], 1) == [1]
-        assert run_groups([small_cfg], 3) == [1, 1, 1]
+        assert run_plan([small_cfg], 1) == [[0]]
+        assert run_plan([small_cfg], 3) == [[0], [1], [2]]
         monkeypatch.setattr(harness, "STACK_FLOATS", self.SIZE)
-        assert run_groups([small_cfg], 2) == [1, 1]
+        assert run_plan([small_cfg], 2) == [[0], [1]]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(plan=run_plans(), budget=st.integers(1, 20000))
@@ -351,13 +363,14 @@ class TestPackInstances:
         configs, n = plan
         size = _instance_floats(configs)
         with mock.patch.object(harness, "STACK_FLOATS", budget):
-            groups = run_groups(configs, n)
-        assert sum(groups) == n and all(g >= 1 for g in groups)
-        for i, g in enumerate(groups):
+            calls = run_plan(configs, n)
+        # every instance plays once, consecutive instances share calls
+        assert [i for call in calls for i in call] == list(range(n))
+        for i, g in enumerate(_sizes(calls)):
             if g > 1:
                 assert g * size <= budget
-            # a group ends only where the next instance would break the cap
-            if i < len(groups) - 1:
+            # a call ends only where the next instance would break the cap
+            if i < len(calls) - 1:
                 assert (g + 1) * size > budget
 
 
@@ -373,21 +386,40 @@ SPEC_PLANS = [
     (
         "recipes/marab_alpha_sweep.yaml",
         "sweep",
-        {"marab": [4, 4, 4, 4, 3, 1, 2, 2, 1, 1, 1, 1], "min": [1]},
+        {"marab": [4, 4, 4, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1], "min": [1]},
     ),
 ]
 
 
 class TestPack:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(0, 30), size=st.integers(1, 200), budget=st.integers(1, 100))
-    def test_calls_fill_in_order_within_the_budget(self, n, size, budget):
-        calls = pack(n, size, budget)
-        assert sum(calls) == n and all(m >= 1 for m in calls)
-        # every call but the last is as full as the budget allows, and a call
-        # over the budget holds one item
-        assert all(m == max(1, budget // size) for m in calls[:-1])
-        assert all(m * size <= budget for m in calls if m > 1)
+    @given(
+        items=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 200)), max_size=30),
+        budget=st.integers(1, 100),
+    )
+    def test_calls_fill_in_order_within_the_budget(self, items, budget):
+        # the one packer, on items of a key and a size each; a call's floats
+        # are the sum of its items' sizes
+        keys = [key for key, _ in items]
+        sizes = [size for _, size in items]
+        with mock.patch.object(harness, "STACK_FLOATS", budget):
+            calls = harness._pack(keys, lambda call: sum(sizes[i] for i in call))
+        # every item plays once, calls keep item order and open in it
+        assert sorted(i for call in calls for i in call) == list(range(len(items)))
+        assert all(call == sorted(call) for call in calls)
+        assert [call[0] for call in calls] == sorted(call[0] for call in calls)
+        for n, call in enumerate(calls):
+            assert len({keys[i] for i in call}) == 1
+            total = sum(sizes[i] for i in call)
+            # a call of several items keeps the budget, unless all but its
+            # first add nothing
+            if total > budget:
+                assert all(sizes[i] == 0 for i in call[1:])
+            # a later call of the same key opened only where its first item
+            # would have broken this one's budget
+            later = [c for c in calls[n + 1 :] if keys[c[0]] == keys[call[0]]]
+            if later:
+                assert sizes[later[0][0]] > 0 and total + sizes[later[0][0]] > max(budget, total)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(plan=run_plans(), grid=marab_grids(), budget=st.integers(1, 20000))
@@ -395,16 +427,20 @@ class TestPack:
         # the one rule, for both planners: a call of several items allocates
         # at most STACK_FLOATS floats; a run's call counts its instances'
         # reward rows and lanes, a sweep's call (its array drawn beforehand)
-        # its lanes only
+        # its lanes only, and MIN-limit cells, which play one set of lanes,
+        # share one call whatever the budget
         configs, n = plan
         policies, (runs, k, horizon) = grid
         with mock.patch.object(harness, "STACK_FLOATS", budget):
-            groups = run_groups(configs, n)
-            calls = sweep_calls(policies, (runs, k, horizon))
-        assert all(g * _instance_floats(configs) <= budget for g in groups if g > 1)
+            groups = run_plan(configs, n)
+            calls = sweep_plan(policies, (runs, k, horizon))
+        assert all(len(g) * _instance_floats(configs) <= budget for g in groups if len(g) > 1)
         for call in calls:
-            if len(call) > 1:
-                assert sum(runs * _lane_floats(policies[i], k, horizon) for i in call) <= budget
+            cells = [policies[i] for i in call]
+            if len(call) > 1 and _cell_lanes(cells, horizon) > 1:
+                assert sum(runs * _lane_floats(p, k, horizon) for p in cells) <= budget
+        min_limit = [i for i, p in enumerate(policies) if _tail_key(p, horizon) is None]
+        assert not min_limit or min_limit in calls
 
     @pytest.mark.parametrize(
         "path, command, plan",
@@ -428,12 +464,12 @@ class TestPack:
             for entry in spec.policies
         ]
         if command == "run":
-            assert run_groups(bases, spec.instances) == plan
+            assert _sizes(run_plan(bases, spec.instances)) == plan
             return
         plans = {}
         for entry, base in zip(spec.policies, bases):
             policies = [cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})]
-            plans[entry.label] = [len(call) for call in sweep_calls(policies, (spec.runs, k, spec.horizon))]
+            plans[entry.label] = _sizes(sweep_plan(policies, (spec.runs, k, spec.horizon)))
         assert plans == plan
 
 
@@ -543,10 +579,11 @@ class TestPackCells:
         assert 2 * sizes[0.01] <= harness.STACK_FLOATS < 2 * sizes[0.999]
         cells = sweep(base, grid)
         assert [c.params for c in cells] == [params for params, _ in expand_grid(base, grid)]
-        # cells play grouped by alpha, out of grid order
+        # cells play grouped by alpha, out of grid order, and each knows its call
         policies = [cfg.policy for _, cfg in expand_grid(base, grid)]
-        calls = sweep_calls(policies, (2, k, horizon))
-        assert calls == [[0, 3], [1], [4], [2, 5]]
+        calls = sweep_plan(policies, (2, k, horizon))
+        assert calls == [[0, 3], [1], [2, 5], [4]]
+        assert [cell.call for cell in cells] == [0, 1, 2, 0, 3, 2]
         for cell, (_, cfg) in zip(cells, expand_grid(base, grid)):
             finals = np.array([led.regret[-1] for led in run_many(cfg)])
             assert cell.mean_final_regret == finals.mean()
@@ -554,26 +591,27 @@ class TestPackCells:
 
     def test_oversized_cell_runs_alone(self, monkeypatch):
         # budget 200 floats on (2, 10, 10); alpha = 0.999 keeps L = 10, so a
-        # cell's 2 * (2 * 10 + 10 * 11) = 260 floats exceed it on their own,
-        # while alpha = 0.1 is in the MIN limit and needs only its 40 record
-        # floats
+        # cell's 2 * (2 * 10 + 15 * 11) = 370 floats exceed it on their own,
+        # while alpha = 0.1 is in the MIN limit and plays one set of lanes,
+        # 2 * 4 * 10 = 80 floats, for all its cells
         monkeypatch.setattr(harness, "STACK_FLOATS", 200)
         small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
-        assert sweep_calls([small, small, big, small], (2, 10, 10)) == [[0, 1, 3], [2]]
-        assert sweep_calls([big], (2, 10, 10)) == [[0]]
-        assert sweep_calls([big, big], (2, 10, 10)) == [[0], [1]]
+        assert sweep_plan([small, small, big, small], (2, 10, 10)) == [[0, 1, 3], [2]]
+        assert sweep_plan([big], (2, 10, 10)) == [[0]]
+        assert sweep_plan([big, big], (2, 10, 10)) == [[0], [1]]
 
     def test_records_bound_cells_without_sorted_rows(self, monkeypatch):
-        # alpha * horizon <= 1 keeps no sorted rows; a cell is its three
-        # runs' two records, 3 * 2 * 50 = 300 floats: two fill 600
-        monkeypatch.setattr(harness, "STACK_FLOATS", 600)
-        calls = sweep_calls([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50))
-        assert [len(call) for call in calls] == [2, 2, 2, 1]
+        # alpha * horizon <= 1 keeps no sorted rows, and every such cell plays
+        # the same 3 lanes of 4 * 50 floats: any number share one call, even
+        # under a budget that one cell breaks
+        for budget in (600, 1):
+            monkeypatch.setattr(harness, "STACK_FLOATS", budget)
+            assert sweep_plan([MaRaB(c=0.5, alpha=0.01)] * 7, (3, 4, 50)) == [list(range(7))]
 
     def test_other_kinds_play_one_cell_per_call(self):
-        assert sweep_calls([UCB(c=0.5), MIN()], (3, 4, 50)) == [[0], [1]]
-        assert sweep_calls([UCB(c=0.5)] * 3, (3, 4, 50)) == [[0], [1], [2]]
-        assert sweep_calls([MIN()], (3, 4, 50)) == [[0]]
+        assert sweep_plan([UCB(c=0.5), MIN()], (3, 4, 50)) == [[0], [1]]
+        assert sweep_plan([UCB(c=0.5)] * 3, (3, 4, 50)) == [[0], [1], [2]]
+        assert sweep_plan([MIN()], (3, 4, 50)) == [[0]]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(grid=marab_grids(), budget=st.integers(1, 50000))
@@ -581,57 +619,114 @@ class TestPackCells:
         policies, shape = grid
         runs, k, horizon = shape
         with mock.patch.object(harness, "STACK_FLOATS", budget):
-            calls = sweep_calls(policies, shape)
+            calls = sweep_plan(policies, shape)
         # every cell plays exactly once
         assert sorted(i for call in calls for i in call) == list(range(len(policies)))
         for n, call in enumerate(calls):
             keys = {_tail_key(policies[i], horizon) for i in call}
             # a call holds one schedule
             assert len(keys) == 1
-            # a call of several cells keeps the budget
+            # a call of several cells keeps the budget, unless they play one
+            # set of lanes
             size = runs * _lane_floats(policies[call[0]], k, horizon)
-            if len(call) > 1:
+            if len(call) > 1 and keys != {None}:
                 assert len(call) * size <= budget
-            # only a group's last call is short: a later call of the same
+            # only a schedule's last call is short: a later call of the same
             # schedule means this one could take no more cells
             if any(_tail_key(policies[j[0]], horizon) in keys for j in calls[n + 1 :]):
-                assert (len(call) + 1) * size > budget
+                assert keys != {None} and (len(call) + 1) * size > budget
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(grid=marab_grids(), budget=st.integers(1, 50000))
     def test_marab_sizes_are_sorted_rows_and_records(self, grid, budget):
-        # a cell's size is its lanes' sorted rows plus their records; a call
-        # holds as many cells as fit in STACK_FLOATS, and at least one; the
-        # cells of a schedule keep grid order
+        # a buffered cell's size is its lanes' sorted rows and records, or
+        # ledger rows; a call holds as many cells as fit in STACK_FLOATS, and
+        # at least one; the cells of a schedule keep grid order
         policies, shape = grid
         runs, k, horizon = shape
         with mock.patch.object(harness, "STACK_FLOATS", budget):
-            calls = sweep_calls(policies, shape)
+            calls = sweep_plan(policies, shape)
         for call in calls:
             size = runs * _lane_floats(policies[call[0]], k, horizon)
-            assert len(call) <= max(1, budget // size)
+            if _tail_key(policies[call[0]], horizon) is not None:
+                assert len(call) <= max(1, budget // size)
             assert call == sorted(call)
 
 
+@st.composite
+def kernel_calls(draw, kind, command):
+    """One kernel call of ``kind`` on 1-16 runs: a run's call, 1-4 instances
+    under one policy, or a sweep's, 1-4 MaRaB cells of one tail schedule on
+    one instance (MIN limit included) or one cell of another kind.  Horizons
+    reach 1000, where a temporary row per lane outweighs the slack."""
+    runs = draw(st.integers(1, 16))
+    k = draw(st.integers(2, 8))
+    horizon = draw(st.integers(k, 1000))
+    policy = {
+        "ucb": st.builds(UCB, c=st.floats(0.01, 2.0)),
+        "min": st.just(MIN()),
+        "mvlcb": st.builds(MVLCB, rho=st.floats(0.1, 2.0), delta=st.floats(0.001, 0.5)),
+        "expexp": st.builds(ExpExp, rho=st.floats(0.1, 2.0), tau=st.integers(k, horizon)),
+        "marab": st.builds(
+            MaRaB,
+            c=st.floats(0.0, 2.0),
+            alpha=st.one_of(st.floats(1e-4, 1.0 / horizon), st.sampled_from([0.01, 0.05, 0.3, 0.999])),
+        ),
+    }[kind]
+    instances, cells = 1, 1
+    if command == "run":
+        instances = draw(st.integers(1, 4))
+    elif kind == "marab":
+        cells = draw(st.integers(1, 4))
+    first = draw(policy)
+    policies = [first] + [
+        dataclasses.replace(first, c=draw(st.floats(0.0, 2.0))) for _ in range(cells - 1)
+    ]
+    problem = gen_proof_of_concept(k=k)
+    configs = [
+        RunConfig(problem=problem, policy=first, horizon=horizon, seed=i, n_runs=runs)
+        for i in range(instances)
+    ]
+    return configs, policies
+
+
+# tracemalloc's peak over one call may pass the rule by numpy's ufunc buffer
+# (np.getbufsize() elements), by two ``horizon``-long rows per call (the
+# rounds and the best mean's regret line in _ledgers), and per played lane by
+# its RegretLedger, five array views and some (lanes, k) kernel state
+LANE_SLACK_FLOATS = 128
+
+
 class TestCallMemory:
-    def test_min_limit_call_keeps_the_budget_rule(self):
-        # four MaRaB cells with alpha * horizon <= 1 play MIN once on the
-        # rows' lanes and are accounted once, so the call's peak, ledgers
-        # included, stays within the rule that sizes it: each cell's lanes'
-        # two records
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["ucb", "min", "marab", "mvlcb", "expexp"])
+    def test_peak_keeps_the_budget_rule(self, kind, command):
+        # a run's call draws its instances' reward rows, which the rule
+        # counts; a sweep's call plays an array drawn before it.  MIN-limit
+        # cells play one set of lanes and are accounted once
         import tracemalloc
 
-        runs, k, horizon = 40, 20, 2000
-        cfg = RunConfig(problem=gen_proof_of_concept(k=k), policy=MIN(), horizon=horizon, seed=7, n_runs=runs)
-        tables = np.random.default_rng(7).random((runs, k, horizon))
-        policies = [MaRaB(c=c, alpha=0.5 / horizon) for c in (0.0, 0.001, 1.0, 1000.0)]
-        assert sweep_calls(policies, tables.shape) == [[0, 1, 2, 3]]
-        rule = 8 * sum(runs * _lane_floats(p, k, horizon) for p in policies)
-        tracemalloc.start()
-        try:
-            for ledgers in harness._play_batches(tables, [cfg], policies):
-                assert len(ledgers) == runs
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= rule
+        @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+        @given(call=kernel_calls(kind, command))
+        def check(call):
+            configs, policies = call
+            first = configs[0]
+            k, horizon = first.problem.k, first.horizon
+            shape = (len(configs) * first.n_runs, k, horizon)
+            lanes = shape[0] * _cell_lanes(policies, horizon)
+            rule = lanes * _lane_floats(policies[0], k, horizon)
+            rng = np.random.default_rng(horizon)
+            tables = None if command == "run" else rng.random(shape)
+            tracemalloc.start()
+            try:
+                if tables is None:
+                    tables = rng.random(shape)
+                    rule += tables.size
+                for ledgers in harness._play_batches(tables, configs, policies):
+                    assert len(ledgers) == shape[0]
+                peak = tracemalloc.get_traced_memory()[1] / 8
+            finally:
+                tracemalloc.stop()
+            assert peak <= rule + np.getbufsize() + 2 * horizon + LANE_SLACK_FLOATS * lanes
+
+        check()

@@ -12,7 +12,7 @@ from riskbandit import (
     UCB,
     select_arm,
 )
-from riskbandit.harness import _play, _schedule, draw_reward_table, sweep_calls
+from riskbandit.harness import _play, _schedule, draw_reward_table, sweep_plan
 from riskbandit.kernels import (
     buffer_width,
     episode_expexp,
@@ -168,7 +168,7 @@ class TestPackedCalls:
         cells = [MaRaB(c=c, alpha=0.05), MaRaB(c=c, alpha=0.3), MaRaB(c=c, alpha=0.05)]
         for _ in range(5):
             batch = rng.random((2, k, 200))
-            calls = sweep_calls(cells, batch.shape)
+            calls = sweep_plan(cells, batch.shape)
             assert sorted(i for call in calls for i in call) == [0, 1, 2]
             for call in calls:
                 chosen, rewards = _play(batch, *[cells[i] for i in call])
