@@ -48,6 +48,7 @@ from .harness import (
     RegretTotals,
     RunConfig,
     aggregate_regret,
+    call_lanes,
     draw_tables,
     expand_grid,
     run_many,
@@ -158,8 +159,9 @@ class _Experiment:
         """Write the summary file ``name``, with ``results`` under their own keys.
 
         ``play`` maps each policy label to its plan, each kernel call's
-        items, and the seconds spent in those calls and their regret
-        accounting; it goes under ``timing``, outside byte identity.
+        items, the seconds spent in those calls and their regret accounting,
+        and the lanes the calls played, each for ``horizon`` pulls; it goes
+        under ``timing``, outside byte identity.
         """
         _write_summary(
             self.out_dir,
@@ -176,8 +178,14 @@ class _Experiment:
                     "started_at": self.started_at,
                     "wall_seconds": round(time.perf_counter() - self.clock, 3),
                     "play": {
-                        label: {"kernel_calls": len(plan), "plan": plan, "seconds": round(seconds, 3)}
-                        for label, (plan, seconds) in play.items()
+                        label: {
+                            "kernel_calls": len(plan),
+                            "plan": plan,
+                            "seconds": round(seconds, 3),
+                            "lanes": lanes,
+                            "pulls": lanes * self.spec.horizon,
+                        }
+                        for label, (plan, seconds, lanes) in play.items()
                     },
                 },
             },
@@ -210,7 +218,7 @@ def cmd_run(args) -> int:
     # every (instance, policy) batch is validated before the first one runs,
     # so a bad policy parameter leaves no partial output behind
     batches = [_run_configs(spec, problem, inst) for inst, problem in enumerate(problems)]
-    totals = [RegretTotals() for _ in spec.policies]
+    totals = [RegretTotals(rows=spec.instances * spec.runs) for _ in spec.policies]
     per_instance_final = [[] for _ in spec.policies]
     play_seconds = [0.0 for _ in spec.policies]
     plan = run_plan(batches[0], spec.instances)
@@ -256,7 +264,9 @@ def cmd_run(args) -> int:
             "mean_final_regret": float(curve.mean_regret[-1]),
             "mean_final_regret_emp": float(curve.mean_regret_emp[-1]),
         }
-    play = {entry.label: (plan, seconds) for entry, seconds in zip(spec.policies, play_seconds)}
+    # every policy plays each instance's runs as lanes once
+    lanes = spec.instances * spec.runs
+    play = {entry.label: (plan, seconds, lanes) for entry, seconds in zip(spec.policies, play_seconds)}
     exp.close("run", "summary.json", {"policies": policy_stats}, play)
     return 0
 
@@ -267,23 +277,25 @@ def cmd_sweep(args) -> int:
     bases = _run_configs(spec, build_problem(spec.problem, spec.seed, 0), 0)
     # every cell of every policy is validated before the first one runs, so a
     # bad grid value leaves no partial output behind
+    grid_policies = []
     for entry, base in zip(spec.policies, bases):
         try:
-            expand_grid(base, entry.sweep or {})
+            grid_policies.append([cfg.policy for _, cfg in expand_grid(base, entry.sweep or {})])
         except ConfigError as exc:
             raise entry_error(entry, exc) from None
     exp.make_out_dir()
     tables = draw_tables(bases[0])
     cell_counts = {}
     play = {}
-    for entry, base in zip(spec.policies, bases):
+    for entry, base, policies in zip(spec.policies, bases, grid_policies):
         grid = entry.sweep or {}
         start = time.perf_counter()
         cells = sweep(base, grid, tables)
         seconds = time.perf_counter() - start
         calls = [cell.call for cell in cells]
         plan = [[i for i, c in enumerate(calls) if c == n] for n in range(max(calls) + 1)]
-        play[entry.label] = (plan, seconds)
+        lanes = sum(call_lanes([policies[i] for i in call], spec.runs, spec.horizon) for call in plan)
+        play[entry.label] = (plan, seconds, lanes)
         param_names = list(grid)
         exp.write_table(
             f"sweep_{sanitize_label(entry.label)}",

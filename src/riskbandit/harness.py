@@ -141,11 +141,22 @@ def _play(tables: np.ndarray, *policies: PolicyConfig):
         if {p.kind for p in policies} != {"marab"} or len({_schedule(p, horizon) for p in policies}) > 1:
             raise ValueError("a kernel call takes MaRaB cells of one alpha, or cells all in the MIN limit")
         params["c"] = [p.c for p in policies]
-    if first.kind == "marab" and _schedule(first, horizon) is None:
+    if _min_limit(first, horizon):
         # every tail is the lowest reward and log 1 = 0 zeroes the exploration
         # term for any c, so every cell is MIN
         return kernels.episode_min(tables)
     return getattr(kernels, f"episode_{first.kind}")(tables, **params)
+
+
+def call_lanes(policies: Sequence[PolicyConfig], rows: int, horizon: int) -> int:
+    """Lanes one kernel call of ``policies`` on ``rows`` table rows plays: a
+    row per policy, or the rows once for MaRaB cells in the MIN limit
+    (:func:`_play`)."""
+    return rows * (1 if _min_limit(policies[0], horizon) else len(policies))
+
+
+def _min_limit(policy: PolicyConfig, horizon: int) -> bool:
+    return policy.kind == "marab" and _schedule(policy, horizon) is None
 
 
 def _schedule(policy: PolicyConfig, horizon: int) -> float | None:
@@ -259,38 +270,50 @@ class RegretCurve:
 class RegretTotals:
     """A policy's episodes reduced to what its curves need, in run order.
 
-    Keeps every run's regret row, which the spread needs, but only running
-    sums of ``regret_emp`` and ``rewards``, so a long experiment holds one
-    row per run instead of a whole ledger.  The sums add one row at a time,
-    the order in which ``mean(axis=0)`` of the stacked rows adds them, so
-    the means equal the stacked ones bit for bit.
+    Keeps every run's regret row, which the spread needs, in one
+    ``(runs, horizon)`` array, but only running sums of ``regret_emp`` and
+    ``rewards``, so a long experiment holds one row per run instead of a
+    whole ledger.  Given ``rows``, the number of runs to come, the array is
+    allocated once at the first ledger; past its end it doubles.  The sums
+    add one row at a time, the order in which ``mean(axis=0)`` of the
+    stacked rows adds them, so the means equal the stacked ones bit for bit.
     """
 
-    def __init__(self, ledgers: Iterable[RegretLedger] = ()) -> None:
-        self.regret: list[np.ndarray] = []
+    def __init__(self, ledgers: Iterable[RegretLedger] = (), rows: int = 1) -> None:
+        self.runs = 0
+        self._regret = np.empty((0, 0))
+        self._rows = max(1, rows)
         self.regret_emp_sum = None
         self.rewards_sum = None
         self.add(ledgers)
 
+    @property
+    def regret(self) -> np.ndarray:
+        """Every run's regret row so far, as a ``(runs, horizon)`` view."""
+        return self._regret[: self.runs]
+
     def add(self, ledgers: Iterable[RegretLedger]) -> None:
         for led in ledgers:
-            if not self.regret:
+            if not self.runs:
+                self._regret = np.empty((self._rows, led.horizon))
                 self.regret_emp_sum = led.regret_emp.copy()
                 self.rewards_sum = led.rewards.copy()
             elif led.horizon != len(self.rewards_sum):
                 raise ValueError(
-                    f"ledger {len(self.regret)} has horizon {led.horizon}, "
-                    f"expected {len(self.rewards_sum)}"
+                    f"ledger {self.runs} has horizon {led.horizon}, expected {len(self.rewards_sum)}"
                 )
             else:
                 self.regret_emp_sum += led.regret_emp
                 self.rewards_sum += led.rewards
-            self.regret.append(led.regret)
+            if self.runs == len(self._regret):
+                self._regret = np.concatenate((self._regret, np.empty_like(self._regret)))
+            self._regret[self.runs] = led.regret
+            self.runs += 1
 
 
 def _totals(ledgers: Iterable[RegretLedger] | RegretTotals) -> RegretTotals:
     totals = ledgers if isinstance(ledgers, RegretTotals) else RegretTotals(ledgers)
-    if not totals.regret:
+    if not totals.runs:
         raise ValueError("need at least one ledger")
     return totals
 
@@ -298,7 +321,7 @@ def _totals(ledgers: Iterable[RegretLedger] | RegretTotals) -> RegretTotals:
 def aggregate_regret(ledgers: Iterable[RegretLedger] | RegretTotals) -> RegretCurve:
     """Pointwise mean and spread of the regret curves of a batch."""
     totals = _totals(ledgers)
-    reg = np.stack(totals.regret)
+    reg = totals.regret
     return RegretCurve(
         t=np.arange(1, reg.shape[1] + 1),
         mean_regret=reg.mean(axis=0),
@@ -314,7 +337,7 @@ def sorted_reward_cdf(ledgers: Iterable[RegretLedger] | RegretTotals) -> np.ndar
     poor arms.
     """
     totals = _totals(ledgers)
-    return np.sort(totals.rewards_sum / len(totals.regret))
+    return np.sort(totals.rewards_sum / totals.runs)
 
 
 def sorted_final_regret(per_instance_regrets: Sequence[float]) -> np.ndarray:

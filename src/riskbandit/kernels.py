@@ -1,4 +1,4 @@
-"""Lockstep episode loops: every lane of a call plays the same round together.
+"""Episode kernels: every lane of a call plays one episode on its own table row.
 
 Each kernel plays one policy against a pre-drawn reward array ``rewards`` of
 shape ``(rows, k, horizon)``: entry ``[row, i, u]`` is the reward table row
@@ -18,20 +18,78 @@ plays instead.  Kernels return ``(chosen, reward_seq)``, both of shape
 ``(lanes, horizon)``: in the 1-based round ``t`` lane ``l`` pulled arm
 ``chosen[l, t-1]`` and observed ``reward_seq[l, t-1]``.
 
-Per-arm statistics live in ``(lanes, k)`` arrays.  Each round computes every
-lane's and every arm's index in one elementwise array expression, picks each
-lane's arm with ``argmax`` / ``argmin`` along ``axis=1`` (whose
-first-extremum rule is the lowest-index tie-break of
-:func:`riskbandit.policies.select_arm`), and fetches every lane's reward
-with one flat fancy index.  The arithmetic mirrors
+Per-arm statistics live in ``(lanes, k)`` arrays, and every index is one
+elementwise array expression whose ``argmax`` / ``argmin`` along ``axis=1``
+(the first extremum) is the lowest-index tie-break of
+:func:`riskbandit.policies.select_arm`.  The arithmetic mirrors
 :mod:`riskbandit.estimators` and :mod:`riskbandit.policies` operation for
 operation (``math.log`` of the round, of ``1/delta`` and of every tail size,
 the same running-sum means, the same guarded ceil, tail sums added left to
 right), and elementwise float64 operations round exactly as their scalar
 counterparts, so every lane reproduces the object-layer episode on its own
 rewards bit for bit.
-"""
 
+**Lockstep kernels** (UCB, MV-LCB, ExpExp) play every lane's round ``t``
+together and fetch every lane's reward with one flat fancy index.
+
+**Stepped kernels** (MaRaB, MIN) give each lane its own clock ``t``, the
+next round it plays.  A MaRaB or MIN lane switches arm a few dozen times in
+thousands of rounds, so a step advances every lane by a block of pulls of
+its current arm ``a``, the argmax at its round ``t``.  While the lane pulls
+``a``, every other arm's index is fixed (MIN) or can only fall (MaRaB: ``c
+>= 0`` and the log of the tail size at round ``t`` never decreases).  That
+holds exactly in floats, because rounding is monotone.  So ``a`` is still
+the argmax at round ``t + u`` if its own index then reaches ``rival``, the
+best other index at round ``t``, taken one ulp higher for the lower-index
+arms, which win ties.
+
+* *MIN is exact.*  After ``u`` more pulls of rewards ``x_1..x_u`` arm
+  ``a``'s index is ``min(m_a, x_1..x_u)``, so the lane leaves ``a`` right
+  after its first reward below ``rival``.  One comparison over the arm's
+  next rewards, a contiguous slice of its table row, finds that round.
+* *MaRaB is certified.*  With ``n_u`` the tail size after ``u`` more pulls,
+  ``W_u`` the tail sum, and the kept row holding the arm's ``held`` lowest
+  rewards with prefix sums ``G``, a lower bound on ``W_u`` is
+
+  - ``G(n_1) - sum_i max(0, theta - x_i) + (n_u - n_1) * min(theta,
+    min_i x_i)`` when the row holds ``n_1`` rewards, ``theta`` being its
+    ``n_1``-th lowest: each reward below ``theta`` replaces a tail value of
+    at most ``theta``, and the tail grows past ``n_1`` by values no lower
+    than the ``n_1``-th lowest of all, itself at least ``min(theta,
+    min_i x_i)``;
+  - ``G(held) + sum_i x_i - (held + u - n_u) * max(row max, max_i x_i)``
+    otherwise: the tail is every reward but the ``held + u - n_u`` largest.
+
+  The lane commits its pulls up to the first ``u`` at which ``(W_u / n_u
+  - margin) - c * sqrt(log_tail[t + u] / n_u)`` falls below ``rival``, or
+  its whole block; the exploration term is computed exactly as round ``t +
+  u`` computes it, and the next step decides round ``t + u`` exactly.
+
+  *The margin.*  Let ``A`` bound every reward's magnitude and ``N = L +
+  cap`` every sum's length, ``u = 2**-53``.  A left-to-right sum of ``N``
+  terms of magnitude at most ``2A`` errs by at most about ``N * u * 2NA``,
+  so the bound's few sums, products and differences err by at most about
+  ``2N**2 u A`` before the division by ``n_u``, and the kernel's own tail
+  mean, a sum of at most ``L`` rewards, by ``(L + 1) u A``.
+  ``margin = N**2 * 2**-50 * A``, eight times ``N**2 u A``, covers both
+  with room, plus the least normal float for sums that underflow.  The
+  kernel's tail mean is a float at or above the exact bound minus that
+  error, so the rounded bound, less the exploration term, stays at or
+  below the index the round computes.
+
+  After ``n`` pulls the kept row is one stable sort of the row and the
+  ``n`` rewards, which puts each reward after its equals like
+  ``bisect.insort``, and its left-to-right ``cumsum`` gives the tail sum
+  bit for bit.
+
+A lane's block starts at the cap, doubles after a step that pulled all of
+it, and is otherwise reset to twice the pulls the step made, at least a
+quarter of the cap.  The cap is ``horizon // 8``, cut so that a step's
+arrays fit what the budget rule (``harness._lane_floats``) leaves beside
+the records and the sorted rows.  A stepped call writes only the first
+record of each block, its arm and where its rewards start in the table, and
+writes out every round once, at the end (``_Lockstep.records``).
+"""
 from __future__ import annotations
 
 import math
@@ -57,7 +115,15 @@ def buffer_width(alpha: float, horizon: int) -> int:
 
 
 class _Lockstep:
-    """Shared state of one call: pull counts and the per-round records of every lane."""
+    """Shared state of one call: pull counts and the per-round records of every lane.
+
+    Most kernels play every lane's round ``t`` together through :meth:`pull`.
+    The stepped kernels give each lane its own clock instead: after
+    :meth:`first_pass`, each step reads every lane's next rewards of its
+    chosen arm through :meth:`window` and advances its clock by a block of
+    pulls of that arm through :meth:`commit`, until :meth:`blocks` finds
+    every lane finished; :meth:`records` then writes out the rounds.
+    """
 
     def __init__(self, rewards, cells=1):
         self.runs, self.k, self.horizon = rewards.shape
@@ -68,8 +134,12 @@ class _Lockstep:
         self.arm0 = np.arange(self.lanes) * self.k  # flat (lane, arm) index of arm 0
         # flat (row, arm) index of arm 0 in each lane's table row
         self.table_arm0 = np.tile(np.arange(self.runs) * self.k, cells)
-        self.chosen = np.empty((self.lanes, self.horizon), dtype=np.int64)
-        self.reward_seq = np.empty((self.lanes, self.horizon), dtype=np.float64)
+        # the records, flat, with one spare slot that takes a finished lane's writes
+        self.spare = self.lanes * self.horizon
+        self.flat_chosen = np.empty(self.spare + 1, dtype=np.int64)
+        self.flat_reward = np.empty(self.spare + 1, dtype=np.float64)
+        self.chosen = self.flat_chosen[:-1].reshape(self.lanes, self.horizon)
+        self.reward_seq = self.flat_reward[:-1].reshape(self.lanes, self.horizon)
 
     def pull(self, t, a):
         """Round ``t``: lane ``l`` pulls arm ``a[l]`` (or every lane pulls arm ``a``).
@@ -84,6 +154,83 @@ class _Lockstep:
         self.chosen[:, t - 1] = a
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x
+
+    def first_pass(self, width=0):
+        """Rounds ``1..k``, where every lane pulls arm ``t - 1``, as ``k``
+        blocks of one pull; starts every lane clock at ``k + 1`` and returns
+        the ``(lanes, k)`` rewards.  ``width`` is the kernel's
+        :func:`buffer_width`, 0 for none."""
+        arms = np.arange(self.k)
+        first = (self.table_arm0[:, None] + arms) * self.horizon
+        # until :meth:`records`, a record holds -1, or starts a block: its
+        # arm, and its reward's table index minus its own flat index
+        self.chosen.fill(-1)
+        self.chosen[:, : self.k] = arms
+        self.reward_seq[:, : self.k] = first - (np.arange(self.lanes)[:, None] * self.horizon + arms)
+        self.counts[:] = 1
+        self.t = np.full(self.lanes, self.k + 1)
+        # a step holds about 3 * width + 5 * block floats per lane, within
+        # what the budget rule (harness._lane_floats) leaves beside the
+        # records and the k sorted rows
+        free = max(2 * self.horizon, (self.k + 5) * width) - (self.k + 3) * width
+        self.cap = max(1, min(self.horizon // 8, free // 5))
+        self.floor = max(1, self.cap // 4)
+        self.block = np.full(self.lanes, self.cap)
+        self.steps = np.arange(self.cap)
+        self.lane = np.arange(self.lanes)
+        self.lower = np.tri(self.k, self.k, -1, dtype=bool)  # row a: the arms below a
+        return self.flat[first]
+
+    def blocks(self):
+        """Each lane's block length for its next step, cut at the horizon (0
+        once the lane has finished), and the longest of them."""
+        size = np.minimum(self.block, self.horizon + 1 - self.t)
+        return size, int(size.max())
+
+    def window(self, a, width):
+        """Each lane's next ``width`` rewards of arm ``a[l]``, from its pull
+        count on, with the flat ``(lane, arm)`` indices, the pull counts and
+        the first reward's table index.  Entries past a lane's table row are
+        clipped garbage."""
+        ia = self.arm0 + a
+        cnt = self.flat_counts[ia]
+        first = (self.table_arm0 + a) * self.horizon + cnt
+        return ia, cnt, first, self.flat.take(first[:, None] + self.steps[:width], mode="clip")
+
+    def rival(self, index, a):
+        """Per lane, the least index arm ``a[l]`` must keep to stay the argmax:
+        the best other arm's index, one ulp higher for lower-index arms, which
+        win ties."""
+        rival = np.where(self.lower[a], np.nextafter(index, np.inf), index)
+        rival[self.lane, a] = -np.inf
+        return rival.max(axis=1)
+
+    def commit(self, a, ia, cnt, first, n, size):
+        """Lane ``l`` pulls arm ``a[l]`` ``n[l]`` times (at least once unless it
+        has finished) from round ``t[l]`` on, the block that :meth:`window`
+        read at ``first[l]``.  Its clock advances by ``n[l]``; its block
+        doubles when the lane pulled all ``size[l]``, and is otherwise reset
+        to twice the pulls it made, but to no less than a quarter of the cap."""
+        at = np.where(n > 0, self.lane * self.horizon + self.t - 1, self.spare)
+        self.flat_chosen[at] = a
+        self.flat_reward[at] = first - at
+        self.flat_counts[ia] = cnt + n
+        self.t += n
+        self.block = np.clip(2 * np.where(n == size, self.block, n), self.floor, self.cap)
+
+    def records(self):
+        """``(chosen, reward_seq)``: every committed block written out, round by round."""
+        # each record's block start, the last start at or before it
+        start = np.arange(self.spare)
+        start[self.flat_chosen[:-1] < 0] = 0
+        np.maximum.accumulate(start, out=start)
+        records = self.flat_chosen[:-1]
+        np.take(records, start, out=records, mode="clip")
+        index = self.flat_reward[start]
+        del start
+        index += np.arange(self.spare, dtype=np.float64)
+        np.take(self.flat, index.astype(np.int64), out=self.flat_reward[:-1], mode="clip")
+        return self.chosen, self.reward_seq
 
 
 def _welford(run_sum, m2, ia, cnt, x):
@@ -113,59 +260,134 @@ def episode_ucb(rewards, c):
 
 def episode_min(rewards):
     b = _Lockstep(rewards)
-    mins = np.full((b.lanes, b.k), 2.0)
+    _min_steps(b)  # its arrays are freed before the records are written out
+    return b.records()
+
+
+def _min_steps(b):
+    """Every round of a MIN call, in exact blocks: a lane leaves its arm right
+    after the first reward that brings the arm's minimum down to a rival's."""
+    mins = b.first_pass()
     flat_mins = mins.reshape(-1)
-    for t in range(1, b.horizon + 1):
-        a = t - 1 if t <= b.k else mins.argmax(axis=1)
-        ia, _, x = b.pull(t, a)
-        flat_mins[ia] = np.minimum(flat_mins[ia], x)
-    return b.chosen, b.reward_seq
+    while True:
+        size, width = b.blocks()
+        if width == 0:
+            return
+        a = mins.argmax(axis=1)
+        ia, cnt, first, x = b.window(a, width)
+        stop = (x < b.rival(mins, a)[:, None]) | (b.steps[:width] >= size[:, None] - 1)
+        n = np.minimum(stop.argmax(axis=1) + 1, size)
+        lowest = np.minimum.accumulate(x, axis=1)[b.lane, np.maximum(n, 1) - 1]
+        flat_mins[ia] = np.minimum(flat_mins[ia], lowest)
+        b.commit(a, ia, cnt, first, n, size)
 
 
 def episode_marab(rewards, c, alpha):
     """``c`` is a scalar (one cell) or one value per cell; every cell plays ``alpha``."""
     c = np.atleast_1d(c)
-    width = buffer_width(alpha, rewards.shape[2])
     b = _Lockstep(rewards, len(c))
     # c as a (lanes, 1) column: lane ``cell * runs + row`` takes its cell's c
-    c = np.repeat(c.astype(np.float64), b.runs)[:, None]
-    # only the pulled arm's tail changes, so each arm's tail size and tail mean
-    # are kept and refreshed after its pulls rather than rebuilt every round
-    n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
-    tail_mean = np.zeros((b.lanes, b.k))
-    flat_n_alpha, flat_tail_mean = n_alpha.reshape(-1), tail_mean.reshape(-1)
+    _marab_steps(b, np.repeat(c.astype(np.float64), b.runs)[:, None], alpha)  # as in episode_min
+    return b.records()
+
+
+def _marab_steps(b, c, alpha):
+    """Every round of a MaRaB call, in certified blocks (module docstring)."""
+    width = buffer_width(alpha, b.horizon)
     n_tail = tail_sizes(alpha, b.horizon)
-    log_tail = list(map(math.log, n_tail.tolist()))
-    # tail size after a pull at each pull count
-    n_next = n_tail[1:]
+    # the log of the tail size at each round, and once more for the clock
+    # of a finished lane
+    log_tail = np.array(list(map(math.log, n_tail.tolist())) + [0.0])
     # no tail ever holds more than L = width - 1 rewards, so each (lane, arm)
-    # keeps only its L lowest, sorted and padded with inf; column L takes the
-    # reward a full row pushes out
-    low = np.full((b.lanes * b.k, width), np.inf)
-    rr = np.arange(b.lanes)
-    for t in range(1, b.horizon + 1):
-        if t <= b.k:
-            a = t - 1
-        else:
-            a = (tail_mean - c * np.sqrt(log_tail[t] / n_alpha)).argmax(axis=1)
-        ia, cnt, x = b.pull(t, a)
-        # past the longest kept row everything is inf and stays inf
-        # (a list max is faster than numpy's on a few lanes)
-        most = max(cnt.tolist())
-        kept = min(most, width - 1)
-        rows = low[ia, : kept + 1]
-        # a stable sort puts the reward after its equals, like bisect.insort
-        rows[:, kept] = x
-        rows.sort(axis=1, kind="stable")
-        low[ia, : kept + 1] = rows
-        na = n_next[cnt]
+    # keeps only its L lowest, sorted and padded with inf
+    most = width - 1
+    low = np.full((b.lanes * b.k, most), np.inf)
+    x = b.first_pass(width)
+    low[:, 0] = x.reshape(-1)
+    # only a pulled arm's tail changes, so each arm's tail size and tail mean
+    # are kept and refreshed after its pulls rather than rebuilt every step
+    n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
+    tail_mean = x.copy()
+    flat_n_alpha, flat_tail_mean = n_alpha.reshape(-1), tail_mean.reshape(-1)
+    # covers the rounding of a certified bound and of the tail mean it
+    # bounds, sums of at most L + cap rewards of magnitude at most A
+    terms = most + b.cap
+    scale = max(abs(b.flat.max()), abs(b.flat.min()))
+    margin = terms**2 * 2.0**-50 * scale + np.finfo(np.float64).tiny
+    rr = b.lane
+    while True:
+        size, block = b.blocks()
+        if block == 0:
+            return
+        index = tail_mean - c * np.sqrt(log_tail[b.t][:, None] / n_alpha)
+        a = index.argmax(axis=1)
+        ia, cnt, first, x = b.window(a, block)
+        held = np.minimum(cnt, most)  # rewards in each kept row
+        row = low[ia, : held.max()]
+        n = size
+        if block > 1:
+            n = np.minimum(n, _certified(row, held, x[:, :-1], cnt, b, n_tail, log_tail, c, margin, b.rival(index, a)))
+        # the kept row after n pulls: a stable sort of the row and the first
+        # n rewards, which sorts each reward after its equals like bisect.insort
+        x[b.steps[:block] >= n[:, None]] = np.inf
+        keep = min(row.shape[1] + block, most)
+        row = np.concatenate((row, x), axis=1)
+        row.sort(axis=1, kind="stable")
+        low[ia, :keep] = row[:, :keep]
+        na = n_tail[cnt + n]
         flat_n_alpha[ia] = na
-        # cumsum adds left to right, the order ArmStats.empirical_cvar uses;
-        # tail sizes grow with the pull count, so the largest is the most
-        # pulled arm's
-        sums = rows[:, : n_next[most]].cumsum(axis=1)
-        flat_tail_mean[ia] = sums[rr, na - 1] / na
-    return b.chosen, b.reward_seq
+        # cumsum adds left to right, the order ArmStats.empirical_cvar uses
+        flat_tail_mean[ia] = row[:, : na.max()].cumsum(axis=1)[rr, na - 1] / na
+        b.commit(a, ia, cnt, first, n, size)
+
+
+def _certified(row, held, xs, cnt, b, n_tail, log_tail, c, margin, rival):
+    """Per lane, the pulls of its arm certified to follow from round ``t``: the
+    first ``u`` in ``1..len(xs)`` at which a lower bound on the arm's index
+    after ``u`` more pulls of rewards ``xs[:u]`` falls below ``rival``, or
+    ``len(xs) + 1`` if none does (module docstring).  Works in place, so
+    that it holds about four arrays the shape of ``xs``."""
+    u = b.steps[1 : xs.shape[1] + 1]
+    n_u = n_tail.take(cnt[:, None] + u, mode="clip")
+    n1 = n_u[:, 0]
+    fits = n1 <= held
+    rr = b.lane
+    w = np.empty(xs.shape)  # a lower bound on the tail sum after u pulls
+    if fits.any():
+        # each reward below theta, the kept row's n1-th lowest, replaces a
+        # tail value of at most theta, and the tail grows past n1 by values
+        # of at least the lower of theta and the lowest reward so far
+        m = np.minimum(n1, held) - 1
+        theta = row[rr, m][:, None]
+        np.subtract(theta, xs, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.cumsum(w, axis=1, out=w)
+        np.subtract(row[:, : n1.max()].cumsum(axis=1)[rr, m][:, None], w, out=w)
+        grow = np.minimum.accumulate(xs, axis=1)
+        np.minimum(grow, theta, out=grow)
+        grow *= n_u - n1[:, None]
+        w += grow
+        del grow
+    if not fits.all():
+        # the tail holds every reward but the held + u - n_u largest
+        top = np.maximum.accumulate(xs, axis=1)
+        np.maximum(top, row[rr, held - 1][:, None], out=top)
+        top *= held[:, None] + u - n_u
+        total = np.cumsum(xs, axis=1)
+        total += row.cumsum(axis=1)[rr, held - 1][:, None]
+        total -= top
+        del top
+        np.copyto(w, total, where=~fits[:, None])
+        del total
+    w /= n_u
+    w -= margin
+    explore = log_tail.take(b.t[:, None] + u, mode="clip")
+    explore /= n_u
+    np.sqrt(explore, out=explore)
+    explore *= c
+    w -= explore
+    below = w < rival[:, None]
+    return np.where(below.any(axis=1), below.argmax(axis=1) + 1, xs.shape[1] + 1)
 
 
 def episode_mvlcb(rewards, rho, delta):

@@ -106,6 +106,9 @@ class TestRun:
             "min": [[0]],
         }
         assert all(play["seconds"] >= 0.0 for play in doc["timing"]["play"].values())
+        # each policy plays the instance's 2 runs as lanes of 30 pulls
+        for play in doc["timing"]["play"].values():
+            assert (play["lanes"], play["pulls"]) == (2, 60)
         assert doc["versions"] == {
             "riskbandit": riskbandit.__version__,
             "python": platform.python_version(),
@@ -307,6 +310,11 @@ class TestSweep:
         assert doc["timing"]["play"]["marab"]["plan"] == [[0, 2], [1, 3]]
         assert doc["timing"]["play"]["min"]["kernel_calls"] == 1
         assert doc["timing"]["play"]["min"]["plan"] == [[0]]
+        # two calls of two cells on 2 runs each, and MIN's 2 runs, of 30 pulls
+        assert {label: (play["lanes"], play["pulls"]) for label, play in doc["timing"]["play"].items()} == {
+            "marab": (8, 240),
+            "min": (2, 60),
+        }
         assert doc["versions"]["riskbandit"] == riskbandit.__version__
 
     def test_plans_each_grid_once(self, tmp_path, monkeypatch):

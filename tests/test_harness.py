@@ -697,6 +697,13 @@ def kernel_calls(draw, kind, command):
 LANE_SLACK_FLOATS = 128
 
 
+def test_call_lanes():
+    # a row per policy, but MaRaB cells in the MIN limit play the rows once
+    assert harness.call_lanes([UCB(c=0.5)], 4, 100) == 4
+    assert harness.call_lanes([MaRaB(c=0.0, alpha=0.3), MaRaB(c=1.0, alpha=0.3)], 4, 100) == 8
+    assert harness.call_lanes([MaRaB(c=0.0, alpha=0.001), MaRaB(c=1.0, alpha=0.005)], 4, 100) == 4
+
+
 class TestCallMemory:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("kind", ["ucb", "min", "marab", "mvlcb", "expexp"])

@@ -1,3 +1,5 @@
+from bisect import insort
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from riskbandit import (
     UCB,
     select_arm,
 )
+from riskbandit import kernels
 from riskbandit.harness import _play, _schedule, draw_reward_table, sweep_plan
 from riskbandit.kernels import (
     buffer_width,
@@ -32,7 +35,7 @@ POLICIES = [
 ]
 
 
-def reference_episode(table, policy):
+def reference_episode(table, policy, observe=ArmStats.update):
     """Object-layer episode on one ``(k, horizon)`` table; every run of a
     kernel batch must reproduce this on its own table bit for bit."""
     k, horizon = table.shape
@@ -44,17 +47,24 @@ def reference_episode(table, policy):
     for t in range(1, horizon + 1):
         a = select_arm(state, stats, t=t)
         x = table[a, counts[a]]
-        stats[a].update(float(x))
+        observe(stats[a], float(x))
         counts[a] += 1
         chosen[t - 1] = a
         rewards[t - 1] = x
     return chosen, rewards
 
 
-def assert_runs_match_reference(tables, policy, chosen, rewards):
+def observe_unchecked(stats, x):
+    """What ``ArmStats.update`` records of a reward for the MaRaB and MIN
+    indices, the count and the sorted rewards, without its [0, 1] check."""
+    stats.count += 1
+    insort(stats._sorted, x)
+
+
+def assert_runs_match_reference(tables, policy, chosen, rewards, observe=ArmStats.update):
     assert chosen.shape == rewards.shape == (tables.shape[0], tables.shape[2])
     for table, got_chosen, got_rewards in zip(tables, chosen, rewards):
-        want_chosen, want_rewards = reference_episode(table, policy)
+        want_chosen, want_rewards = reference_episode(table, policy, observe)
         assert np.array_equal(got_chosen, want_chosen)
         assert np.array_equal(got_rewards, want_rewards)
 
@@ -218,6 +228,81 @@ class TestPackedCalls:
             alone_chosen, alone_rewards = _play(batch, policy)
             assert np.array_equal(chosen[i * runs : (i + 1) * runs], alone_chosen)
             assert np.array_equal(rewards[i * runs : (i + 1) * runs], alone_rewards)
+
+
+@st.composite
+def stepped_tables(draw):
+    """A ``(lanes, k, horizon)`` batch for the stepped kernels, 1 or 40 lanes:
+    a few tied values, a dominant arm (long blocks) or arms of one
+    distribution (a switch every few rounds), with rewards as drawn, scaled
+    by 1e6 or 1e-6, or shifted negative; horizons from ``k`` to ``k + 3``
+    (every block cut at the horizon) or longer."""
+    lanes = draw(st.sampled_from([1, 40]))
+    k = draw(st.integers(2, 5))
+    horizon = draw(st.one_of(st.integers(k, k + 3), st.integers(k, 40 if lanes > 1 else 150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["tied", "dominant", "alike"]))
+    if kind == "tied":
+        pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        batch = rng.choice(np.array(pool), size=(lanes, k, horizon))
+    else:
+        batch = rng.random((lanes, k, horizon))
+        if kind == "dominant":
+            batch[:, draw(st.integers(0, k - 1))] += 1.0
+            batch /= 2.0
+    return draw(st.sampled_from([1.0, 1e6, 1e-6])) * batch - draw(st.sampled_from([0.0, 0.75]))
+
+
+class TestSteppedKernels:
+    """MaRaB and MIN step each lane to its next possible switch.  Every step
+    moves each unfinished lane on by at least one round, and the records
+    equal the object layer's bit for bit, on rewards of any scale and sign."""
+
+    @pytest.fixture
+    def step_checked(self, monkeypatch):
+        commit = kernels._Lockstep.commit
+
+        def checked(b, a, ia, cnt, first, n, size):
+            playing = b.t <= b.horizon
+            assert np.all(n[playing] >= 1) and np.all(n[~playing] == 0)
+            assert np.all(b.t + n <= b.horizon + 1)
+            commit(b, a, ia, cnt, first, n, size)
+
+        monkeypatch.setattr(kernels._Lockstep, "commit", checked)
+
+    def test_marab_equals_object_layer(self, step_checked):
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(
+            batch=stepped_tables(),
+            c=st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1000.0]),
+            alpha=st.one_of(st.floats(0.01, 0.05), _unit, st.just(0.999)),
+        )
+        def check(batch, c, alpha):
+            played = episode_marab(batch, c, alpha)
+            assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), *played, observe=observe_unchecked)
+
+        check()
+
+    def test_min_equals_object_layer(self, step_checked):
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(batch=stepped_tables())
+        def check(batch):
+            assert_runs_match_reference(batch, MIN(), *episode_min(batch), observe=observe_unchecked)
+
+        check()
+
+    @pytest.mark.parametrize("cells", [[0.0, 1e-6, 1000.0], [1e-3]])
+    def test_long_blocks_equal_object_layer(self, step_checked, cells):
+        # a dominant arm through a long horizon: blocks grow to the cap
+        rng = np.random.default_rng(3)
+        batch = rng.random((40, 4, 800))
+        batch[:, 2] = 0.5 + batch[:, 2] / 2
+        for alpha in (0.05, 0.5, 0.999):
+            chosen, rewards = episode_marab(batch, cells, alpha)
+            for i, c in enumerate(cells):
+                lanes = slice(40 * i, 40 * (i + 1))
+                assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), chosen[lanes], rewards[lanes])
+        assert_runs_match_reference(batch, MIN(), *episode_min(batch))
 
 
 class TestKernelBehaviour:
