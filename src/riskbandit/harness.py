@@ -6,7 +6,7 @@ reward an arm would yield on its ``u``-th pull is drawn up front into a
 :mod:`riskbandit.rng`).  A batch stacks its runs' tables into one
 ``(runs, k, horizon)`` array (:func:`draw_tables`), drawn once and shared by
 every policy and every sweep cell played on it, and the kernels of
-:mod:`riskbandit.kernels` play all runs of the batch in lockstep, one run
+:mod:`riskbandit.kernels` play all runs of the batch in one call, one run
 per *lane*.  One rule lays out every call (:func:`_play_batches`): lane
 ``cell * rows + i * runs + r`` plays run ``r`` of instance ``i``, of the
 ``rows`` stacked table rows, under the call's policy ``cell``.  A run plays
@@ -14,8 +14,9 @@ one policy on stacked instances, a sweep MaRaB grid cells of one tail
 schedule on one instance.  A command's calls are planned once, as each
 call's instances or cells (:func:`run_plan`, :func:`sweep_plan`), under one
 budget: a call may allocate at most :data:`STACK_FLOATS` floats, counting
-the reward rows it draws and what each lane allocates
-(:func:`_lane_floats`); a sweep draws its array before any call.
+the reward rows it draws, what each lane allocates and what a kernel that
+works one lane at a time allocates for that lane (:func:`_call_floats`); a
+sweep draws its array before any call.
 
 Two consequences worth relying on:
 
@@ -388,19 +389,25 @@ def expand_grid(base: RunConfig, grid: dict) -> list[tuple[dict, RunConfig]]:
 
 
 # Floats one kernel call may allocate (16 MiB): the reward rows it draws,
-# plus :func:`_lane_floats` for each lane it plays.
+# plus :func:`_call_floats` for the lanes it plays.
 STACK_FLOATS = 2**21
 
 
-def _lane_floats(policy: PolicyConfig, k: int, horizon: int) -> int:
-    """Floats one lane of ``policy`` allocates in a kernel call: its two
-    ``horizon``-long records, plus the larger of its two ledger regret rows
-    and, for MaRaB outside the MIN limit, its ``k`` sorted rows of
-    :func:`~riskbandit.kernels.buffer_width` floats and about five more such
-    rows of per-round temporaries."""
-    buffered = policy.kind == "marab" and _schedule(policy, horizon) is not None
-    width = kernels.buffer_width(policy.alpha, horizon) if buffered else 0
-    return 2 * horizon + max(2 * horizon, (k + 5) * width)
+def _call_floats(policies: Sequence[PolicyConfig], rows: int, k: int, horizon: int) -> int:
+    """Floats a kernel call of ``policies`` on ``rows`` table rows allocates.
+    Each lane has two ``horizon``-long records, and the larger of two ledger
+    regret rows and MaRaB's ``k`` sorted rows of
+    :func:`~riskbandit.kernels.buffer_width` floats, five such rows of
+    temporaries and seven ``k``-long rows of per-arm state.  MIN, MV-LCB and
+    ExpExp work on one lane at a time, which adds three ``(k, horizon)``
+    arrays and four ``horizon`` rows."""
+    policy, lanes = policies[0], call_lanes(policies, rows, horizon)
+    if policy.kind == "ucb":
+        return lanes * 4 * horizon
+    if policy.kind != "marab" or _min_limit(policy, horizon):
+        return lanes * 4 * horizon + (3 * k + 4) * horizon
+    width = kernels.buffer_width(policy.alpha, horizon)
+    return lanes * (2 * horizon + max(2 * horizon, (k + 5) * width) + 7 * k)
 
 
 def _pack(keys: Sequence, floats: Callable[[list[int]], int]) -> list[list[int]]:
@@ -422,12 +429,17 @@ def _pack(keys: Sequence, floats: Callable[[list[int]], int]) -> list[list[int]]
 def run_plan(configs: Sequence[RunConfig], instances: int) -> list[list[int]]:
     """The kernel calls of a run, as lists of instance indices, given one
     instance's run configs, one per policy.  Every policy plays the same
-    calls, each on one :func:`draw_tables` array, so an instance counts its
-    reward rows and its lanes at the largest lane size of any policy."""
+    calls, each on one :func:`draw_tables` array, so a call counts its
+    instances' reward rows and the largest :func:`_call_floats` of any
+    policy on their lanes."""
     first = configs[0]
     k, horizon = first.problem.k, first.horizon
-    size = first.n_runs * (k * horizon + max(_lane_floats(c.policy, k, horizon) for c in configs))
-    return _pack([None] * instances, lambda call: len(call) * size)
+
+    def floats(call: list[int]) -> int:
+        rows = len(call) * first.n_runs
+        return rows * k * horizon + max(_call_floats([c.policy], rows, k, horizon) for c in configs)
+
+    return _pack([None] * instances, floats)
 
 
 def sweep_plan(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) -> list[list[int]]:
@@ -437,9 +449,7 @@ def sweep_plan(policies: Sequence[PolicyConfig], shape: tuple[int, int, int]) ->
     so a call counts only its lanes."""
     runs, k, horizon = shape
     keys = [_schedule(p, horizon) if p.kind == "marab" else ("alone", i) for i, p in enumerate(policies)]
-    size = [runs * _lane_floats(p, k, horizon) for p in policies]
-    # cells in the MIN limit play one set of lanes (:func:`_play`), so they share one call
-    return _pack(keys, lambda call: size[call[0]] * (1 if keys[call[0]] is None else len(call)))
+    return _pack(keys, lambda call: _call_floats([policies[i] for i in call], runs, k, horizon))
 
 
 def sweep(base: RunConfig, grid: dict, tables: np.ndarray | None = None) -> list[SweepCell]:

@@ -18,9 +18,8 @@ plays instead.  Kernels return ``(chosen, reward_seq)``, both of shape
 ``(lanes, horizon)``: in the 1-based round ``t`` lane ``l`` pulled arm
 ``chosen[l, t-1]`` and observed ``reward_seq[l, t-1]``.
 
-Per-arm statistics live in ``(lanes, k)`` arrays, and every index is one
-elementwise array expression whose ``argmax`` / ``argmin`` along ``axis=1``
-(the first extremum) is the lowest-index tie-break of
+Every index is an elementwise array expression whose first extremum along
+the arm axis is the lowest-index tie-break of
 :func:`riskbandit.policies.select_arm`.  The arithmetic mirrors
 :mod:`riskbandit.estimators` and :mod:`riskbandit.policies` operation for
 operation (``math.log`` of the round, of ``1/delta`` and of every tail size,
@@ -29,66 +28,88 @@ right), and elementwise float64 operations round exactly as their scalar
 counterparts, so every lane reproduces the object-layer episode on its own
 rewards bit for bit.
 
-**Lockstep kernels** (UCB, MV-LCB, ExpExp) play every lane's round ``t``
-together and fetch every lane's reward with one flat fancy index.
+Every kernel plays rounds ``1..k`` as a round robin, arm ``t - 1`` in round
+``t``; three kinds play the rest, and ExpExp is computed directly.
 
-**Stepped kernels** (MaRaB, MIN) give each lane its own clock ``t``, the
-next round it plays.  A MaRaB or MIN lane switches arm a few dozen times in
-thousands of rounds, so a step advances every lane by a block of pulls of
-its current arm ``a``, the argmax at its round ``t``.  While the lane pulls
-``a``, every other arm's index is fixed (MIN) or can only fall (MaRaB: ``c
->= 0`` and the log of the tail size at round ``t`` never decreases).  That
-holds exactly in floats, because rounding is monotone.  So ``a`` is still
-the argmax at round ``t + u`` if its own index then reaches ``rival``, the
-best other index at round ``t``, taken one ulp higher for the lower-index
-arms, which win ties.
+**Lockstep** (UCB) plays every lane's round ``t`` together: UCB's index
+reads the round through ``log t``.
 
-* *MIN is exact.*  After ``u`` more pulls of rewards ``x_1..x_u`` arm
-  ``a``'s index is ``min(m_a, x_1..x_u)``, so the lane leaves ``a`` right
-  after its first reward below ``rival``.  One comparison over the arm's
-  next rewards, a contiguous slice of its table row, finds that round.
-* *MaRaB is certified.*  With ``n_u`` the tail size after ``u`` more pulls,
-  ``W_u`` the tail sum, and the kept row holding the arm's ``held`` lowest
-  rewards with prefix sums ``G``, a lower bound on ``W_u`` is
+**Merged** (MIN, MV-LCB).  These indices depend only on the arm's own pulls.
+Arm ``a``'s key after ``n`` pulls, ``key(a, n)``, is MIN's ``-min(x_1..x_n)``
+or MV-LCB's ``m2/n - rho*(S/n) - (5+rho)*sqrt(log(1/delta)/(2n))``
+(:func:`_moments`), bit-equal to the index, negated for MIN.  Both pull the
+arm of lowest current key, the lowest arm on ties.  With ``K(a, n)`` the
+running maximum of ``key(a, 1..n)``, the entries ``(a, n)`` this greedy
+rule pulls come in increasing order of ``(K(a, n), a, n)``, so its rounds
+are the first ``horizon - k`` entries in that order:
 
-  - ``G(n_1) - sum_i max(0, theta - x_i) + (n_u - n_1) * min(theta,
-    min_i x_i)`` when the row holds ``n_1`` rewards, ``theta`` being its
-    ``n_1``-th lowest: each reward below ``theta`` replaces a tail value of
-    at most ``theta``, and the tail grows past ``n_1`` by values no lower
-    than the ``n_1``-th lowest of all, itself at least ``min(theta,
-    min_i x_i)``;
-  - ``G(held) + sum_i x_i - (held + u - n_u) * max(row max, max_i x_i)``
-    otherwise: the tail is every reward but the ``held + u - n_u`` largest.
+* a pulled entry's ``K`` is ``M``, the largest key pulled up to its round:
+  its arm's earlier keys were all pulled, and in the round that pulled
+  ``M`` the arm's current key, one of its keys up to this entry, was at
+  least ``M``;
+* so ``K`` never falls from round to round, and of two pulls at one ``K =
+  M`` the lower arm's comes first.  Had a higher arm's come first, then in
+  the round it pulled its key ``M`` the lower arm's current key was at
+  least ``M``, the key pulled, and at most ``M``, its own ``K``: a tie,
+  which the lower arm wins.
 
-  The lane commits its pulls up to the first ``u`` at which ``(W_u / n_u
-  - margin) - c * sqrt(log_tail[t + u] / n_u)`` falls below ``rival``, or
-  its whole block; the exploration term is computed exactly as round ``t +
-  u`` computes it, and the next step decides round ``t + u`` exactly.
+MIN's keys never fall, so for MIN ``K = key``.  :func:`_merge` lays a
+lane's ``K`` out arm-major, so that stable-sort order is ``(K, a, n)``
+order; the entry of ``(a, n)`` reads the table entry after it, arm ``a``'s
+next reward.
 
-  *The margin.*  Let ``A`` bound every reward's magnitude and ``N = L +
-  cap`` every sum's length, ``u = 2**-53``.  A left-to-right sum of ``N``
-  terms of magnitude at most ``2A`` errs by at most about ``N * u * 2NA``,
-  so the bound's few sums, products and differences err by at most about
-  ``2N**2 u A`` before the division by ``n_u``, and the kernel's own tail
-  mean, a sum of at most ``L`` rewards, by ``(L + 1) u A``.
-  ``margin = N**2 * 2**-50 * A``, eight times ``N**2 u A``, covers both
-  with room, plus the least normal float for sums that underflow.  The
-  kernel's tail mean is a float at or above the exact bound minus that
-  error, so the rounded bound, less the exploration term, stays at or
-  below the index the round computes.
+**Stepped** (MaRaB) gives each lane its own clock ``t``, the next round it
+plays.  A MaRaB lane switches arm a few dozen times in thousands of rounds,
+so a step advances every lane by a block of pulls of its current arm ``a``,
+the argmax at its round ``t``.  While the lane pulls ``a``, every other
+arm's index can only fall: ``c >= 0`` and the log of the tail size at round
+``t`` never decreases.  That holds exactly in floats, because rounding is
+monotone.  So ``a`` is still the argmax at round ``t + u`` if its own index
+then reaches ``rival``, the best other index at round ``t``, taken one ulp
+higher for the lower-index arms, which win ties.
 
-  After ``n`` pulls the kept row is one stable sort of the row and the
-  ``n`` rewards, which puts each reward after its equals like
-  ``bisect.insort``, and its left-to-right ``cumsum`` gives the tail sum
-  bit for bit.
+With ``n_u`` the tail size after ``u`` more pulls of rewards ``x_1..x_u``,
+``W_u`` the tail sum, and the kept row holding the arm's ``held`` lowest
+rewards with prefix sums ``G``, a lower bound on ``W_u`` is
+
+* ``G(n_1) - sum_i max(0, theta - x_i) + (n_u - n_1) * min(theta,
+  min_i x_i)`` when the row holds ``n_1`` rewards, ``theta`` being its
+  ``n_1``-th lowest: each reward below ``theta`` replaces a tail value of at
+  most ``theta``, and the tail grows past ``n_1`` by values no lower than
+  the ``n_1``-th lowest of all, itself at least ``min(theta, min_i x_i)``;
+* ``G(held) + sum_i x_i - (held + u - n_u) * max(row max, max_i x_i)``
+  otherwise: the tail is every reward but the ``held + u - n_u`` largest.
+
+The lane commits its pulls up to the first ``u`` at which ``(W_u / n_u -
+margin) - c * sqrt(log_tail[t + u] / n_u)`` falls below ``rival``, or its
+whole block; the exploration term is computed exactly as round ``t + u``
+computes it, and the next step decides round ``t + u`` exactly.
+
+*The margin.*  Let ``A`` bound every reward's magnitude and ``N = L + cap``
+every sum's length, ``u = 2**-53``.  A left-to-right sum of ``N`` terms of
+magnitude at most ``2A`` errs by at most about ``N * u * 2NA``, so the
+bound's few sums, products and differences err by at most about ``2N**2 u
+A`` before the division by ``n_u``, and the kernel's own tail mean, a sum of
+at most ``L`` rewards, by ``(L + 1) u A``.  ``margin = N**2 * 2**-50 * A``,
+eight times ``N**2 u A``, covers both with room, plus the least normal
+float for sums that underflow.  The kernel's tail mean is a float at or
+above the exact bound minus that error, so the rounded bound, less the
+exploration term, stays at or below the index the round computes.
+
+After ``n`` pulls the kept row is one stable sort of the row and the ``n``
+rewards, which puts each reward after its equals like ``bisect.insort``, and
+its left-to-right ``cumsum`` gives the tail sum bit for bit.
 
 A lane's block starts at the cap, doubles after a step that pulled all of
 it, and is otherwise reset to twice the pulls the step made, at least a
 quarter of the cap.  The cap is ``horizon // 8``, cut so that a step's
-arrays fit what the budget rule (``harness._lane_floats``) leaves beside
+arrays fit what the budget rule (``harness._call_floats``) leaves beside
 the records and the sorted rows.  A stepped call writes only the first
 record of each block, its arm and where its rewards start in the table, and
 writes out every round once, at the end (``_Lockstep.records``).
+
+**ExpExp** plays ``min(max(tau, k), horizon)`` rounds of round robin, then
+for good the arm of least ``m2/n - rho*(S/n)``: its next rewards.
 """
 from __future__ import annotations
 
@@ -117,11 +138,11 @@ def buffer_width(alpha: float, horizon: int) -> int:
 class _Lockstep:
     """Shared state of one call: pull counts and the per-round records of every lane.
 
-    Most kernels play every lane's round ``t`` together through :meth:`pull`.
-    The stepped kernels give each lane its own clock instead: after
-    :meth:`first_pass`, each step reads every lane's next rewards of its
-    chosen arm through :meth:`window` and advances its clock by a block of
-    pulls of that arm through :meth:`commit`, until :meth:`blocks` finds
+    The lockstep kernel plays every lane's round ``t`` together through
+    :meth:`pull`.  The stepped kernel gives each lane its own clock instead:
+    after :meth:`first_pass`, each step reads every lane's next rewards of
+    its chosen arm through :meth:`window` and advances its clock by a block
+    of pulls of that arm through :meth:`commit`, until :meth:`blocks` finds
     every lane finished; :meth:`records` then writes out the rounds.
     """
 
@@ -155,11 +176,11 @@ class _Lockstep:
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x
 
-    def first_pass(self, width=0):
+    def first_pass(self, width):
         """Rounds ``1..k``, where every lane pulls arm ``t - 1``, as ``k``
         blocks of one pull; starts every lane clock at ``k + 1`` and returns
         the ``(lanes, k)`` rewards.  ``width`` is the kernel's
-        :func:`buffer_width`, 0 for none."""
+        :func:`buffer_width`."""
         arms = np.arange(self.k)
         first = (self.table_arm0[:, None] + arms) * self.horizon
         # until :meth:`records`, a record holds -1, or starts a block: its
@@ -170,7 +191,7 @@ class _Lockstep:
         self.counts[:] = 1
         self.t = np.full(self.lanes, self.k + 1)
         # a step holds about 3 * width + 5 * block floats per lane, within
-        # what the budget rule (harness._lane_floats) leaves beside the
+        # what the budget rule (harness._call_floats) leaves beside the
         # records and the k sorted rows
         free = max(2 * self.horizon, (self.k + 5) * width) - (self.k + 3) * width
         self.cap = max(1, min(self.horizon // 8, free // 5))
@@ -233,17 +254,6 @@ class _Lockstep:
         return self.chosen, self.reward_seq
 
 
-def _welford(run_sum, m2, ia, cnt, x):
-    # the ArmStats.update order: previous mean, sum, count, then the deviation;
-    # the first pulls follow the same round robin in every lane, so a pulled
-    # arm's count is 0 in every lane or in none
-    prev_sum = run_sum[ia]
-    prev_mean = prev_sum / cnt if cnt[0] > 0 else 0.0
-    total = prev_sum + x
-    run_sum[ia] = total
-    m2[ia] += (x - prev_mean) * (x - total / (cnt + 1))
-
-
 def episode_ucb(rewards, c):
     b = _Lockstep(rewards)
     run_sum = np.zeros((b.lanes, b.k))
@@ -258,36 +268,13 @@ def episode_ucb(rewards, c):
     return b.chosen, b.reward_seq
 
 
-def episode_min(rewards):
-    b = _Lockstep(rewards)
-    _min_steps(b)  # its arrays are freed before the records are written out
-    return b.records()
-
-
-def _min_steps(b):
-    """Every round of a MIN call, in exact blocks: a lane leaves its arm right
-    after the first reward that brings the arm's minimum down to a rival's."""
-    mins = b.first_pass()
-    flat_mins = mins.reshape(-1)
-    while True:
-        size, width = b.blocks()
-        if width == 0:
-            return
-        a = mins.argmax(axis=1)
-        ia, cnt, first, x = b.window(a, width)
-        stop = (x < b.rival(mins, a)[:, None]) | (b.steps[:width] >= size[:, None] - 1)
-        n = np.minimum(stop.argmax(axis=1) + 1, size)
-        lowest = np.minimum.accumulate(x, axis=1)[b.lane, np.maximum(n, 1) - 1]
-        flat_mins[ia] = np.minimum(flat_mins[ia], lowest)
-        b.commit(a, ia, cnt, first, n, size)
-
-
 def episode_marab(rewards, c, alpha):
     """``c`` is a scalar (one cell) or one value per cell; every cell plays ``alpha``."""
     c = np.atleast_1d(c)
     b = _Lockstep(rewards, len(c))
     # c as a (lanes, 1) column: lane ``cell * runs + row`` takes its cell's c
-    _marab_steps(b, np.repeat(c.astype(np.float64), b.runs)[:, None], alpha)  # as in episode_min
+    # its arrays are freed before the records are written out
+    _marab_steps(b, np.repeat(c.astype(np.float64), b.runs)[:, None], alpha)
     return b.records()
 
 
@@ -390,42 +377,86 @@ def _certified(row, held, xs, cnt, b, n_tail, log_tail, c, margin, rival):
     return np.where(below.any(axis=1), below.argmax(axis=1) + 1, xs.shape[1] + 1)
 
 
+def _moments(x):
+    """Each arm's running sum and Welford sum of squares after each of its
+    pulls, ``[a, n - 1]`` after ``n``, for ``(k, pulls)`` rewards ``x``, in the
+    ``ArmStats.update`` order.  A sum of ``-0.0`` here is ``0.0`` there,
+    which no comparison tells apart."""
+    total = np.cumsum(x, axis=1)
+    mean = total / np.arange(1.0, x.shape[1] + 1)
+    # each reward less the previous mean, over the flat rows; an arm's first
+    # deviation, (x_1 - 0) * (x_1 - x_1), is zero
+    m2 = np.empty_like(total)
+    np.subtract(x.reshape(-1)[1:], mean.reshape(-1)[:-1], out=m2.reshape(-1)[1:])
+    m2[:, 0] = 0.0
+    m2 *= np.subtract(x, mean, out=mean)
+    return total, np.cumsum(m2, axis=1, out=m2)
+
+
+def _round_robin(rewards, rounds):
+    """A call's records with rounds ``t = 1..rounds`` filled in, in which every
+    lane pulls arm ``(t - 1) % k``."""
+    lanes, k, horizon = rewards.shape
+    t = np.arange(rounds)
+    chosen = np.empty((lanes, horizon), dtype=np.int64)
+    reward_seq = np.empty((lanes, horizon))
+    chosen[:, :rounds] = t % k
+    reward_seq[:, :rounds] = rewards[:, t % k, t // k]
+    return chosen, reward_seq
+
+
+def _merge(rewards, keys):
+    """Every round of a policy that pulls the arm of lowest key, the lowest on
+    ties, where an arm's key depends only on its own pulls.  ``keys(x)``
+    gives a lane's running maximum ``K`` of each arm's keys, ``[a, n - 1]``
+    after ``n`` pulls, from its ``(k, horizon)`` rewards (module docstring)."""
+    k, horizon = rewards.shape[1:]
+    chosen, reward_seq = _round_robin(rewards, k)
+    for lane, x in enumerate(rewards if horizon > k else ()):
+        order = _lowest(keys(x).reshape(-1), horizon - k)
+        np.floor_divide(order, horizon, out=chosen[lane, k:])
+        order += 1  # the entry of (a, n) reads the reward after it, x[a, n]
+        x.take(order, out=reward_seq[lane, k:], mode="clip")
+    return chosen, reward_seq
+
+
+def _lowest(key, m):
+    """The first ``m`` of ``key``'s stable argsort: every entry below the
+    ``m``-th lowest value, sorted, then the first entries equal to it."""
+    value = np.partition(key, m - 1)[m - 1]
+    below = np.flatnonzero(key < value)
+    tied = np.flatnonzero(key == value)[: m - len(below)]
+    return np.concatenate((below[key[below].argsort(kind="stable")], tied))
+
+
+def episode_min(rewards):
+    # the negated minimum never falls: it is its own running maximum
+    return _merge(rewards, lambda x: -np.minimum.accumulate(x, axis=1))
+
+
 def episode_mvlcb(rewards, rho, delta):
-    b = _Lockstep(rewards)
-    run_sum = np.zeros((b.lanes, b.k))
-    m2 = np.zeros((b.lanes, b.k))
-    flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
-    log_inv_delta = math.log(1.0 / delta)
-    for t in range(1, b.horizon + 1):
-        if t <= b.k:
-            a = t - 1
-        else:
-            width = (5.0 + rho) * np.sqrt(log_inv_delta / (2.0 * b.counts))
-            a = (m2 / b.counts - rho * (run_sum / b.counts) - width).argmin(axis=1)
-        ia, cnt, x = b.pull(t, a)
-        _welford(flat_sum, flat_m2, ia, cnt, x)
-    return b.chosen, b.reward_seq
+    n = np.arange(1.0, rewards.shape[2] + 1)
+    width = (5.0 + rho) * np.sqrt(math.log(1.0 / delta) / (2.0 * n))
+
+    def keys(x):
+        total, key = _moments(x)
+        key /= n
+        key -= rho * np.divide(total, n, out=total)
+        key -= width
+        return np.maximum.accumulate(key, axis=1, out=key)
+
+    return _merge(rewards, keys)
 
 
 def episode_expexp(rewards, rho, tau):
-    b = _Lockstep(rewards)
-    run_sum = np.zeros((b.lanes, b.k))
-    m2 = np.zeros((b.lanes, b.k))
-    flat_sum, flat_m2 = run_sum.reshape(-1), m2.reshape(-1)
-    for t in range(1, b.horizon + 1):
-        # until the commit every run pulls the same arms, so counts agree across runs
-        if t <= tau:
-            a = (t - 1) % b.k
-        elif b.counts.min() == 0:  # tau < k: finish initialisation first
-            a = int(b.counts[0].argmin())
-        else:
-            # commit for good: the rest of the episode is the arm's next pulls
-            a = (m2 / b.counts - rho * (run_sum / b.counts)).argmin(axis=1)
-            b.chosen[:, t - 1 :] = a[:, None]
-            cnt = b.counts[np.arange(b.lanes), a].tolist()
-            for lane, (arm, u) in enumerate(zip(a.tolist(), cnt)):
-                b.reward_seq[lane, t - 1 :] = rewards[lane, arm, u : u + b.horizon - t + 1]
-            break
-        ia, cnt, x = b.pull(t, a)
-        _welford(flat_sum, flat_m2, ia, cnt, x)
-    return b.chosen, b.reward_seq
+    k, horizon = rewards.shape[1:]
+    explore = min(max(tau, k), horizon)
+    chosen, reward_seq = _round_robin(rewards, explore)
+    counts = np.bincount(np.arange(explore) % k, minlength=k)
+    arms, last = np.arange(k), counts - 1
+    for lane, x in enumerate(rewards if explore < horizon else ()):
+        total, m2 = _moments(x[:, : counts[0]])
+        arm = (m2[arms, last] / counts - rho * (total[arms, last] / counts)).argmin()
+        chosen[lane, explore:] = arm
+        reward_seq[lane, explore:] = x[arm, counts[arm] : counts[arm] + horizon - explore]
+    return chosen, reward_seq

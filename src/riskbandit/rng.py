@@ -14,7 +14,7 @@ The seeding layout used by the toolkit:
 * within an episode batch, the reward stream of arm ``a`` in run ``r`` is
   ``substream(episode_seed, r, a)``; it fills row ``[r, a]`` of the batch's
   one ``(runs, k, horizon)`` reward array, which every policy and sweep cell
-  of the batch then plays in lockstep
+  of the batch then plays, one run per kernel lane
 
 Because streams are keyed by index rather than by draw order, adding runs or
 arms never perturbs the draws of existing ones, and neither the order in

@@ -274,22 +274,33 @@ class TestStackedInstances:
 def _lane_floats(policy, k, horizon):
     """Floats one lane allocates by the budget's rule: two ``horizon``-long
     records, plus the larger of two ledger regret rows and MaRaB's ``k``
-    sorted rows of ``L + 1`` floats with five more rows of temporaries."""
-    buffer = 0
+    sorted rows of ``L + 1`` floats with five more rows of temporaries, and
+    seven ``k``-long rows of MaRaB's per-arm state."""
     if policy.kind == "marab":
         L = int(tail_sizes(policy.alpha, horizon)[-1])
         # a one-reward tail plays MIN and keeps no buffer
-        buffer = 0 if L == 1 else (k + 5) * (L + 1)
-    return 2 * horizon + max(2 * horizon, buffer)
+        if L > 1:
+            return 2 * horizon + max(2 * horizon, (k + 5) * (L + 1)) + 7 * k
+    return 4 * horizon
 
 
-def _instance_floats(configs):
-    """Floats one instance adds to a run's call: its reward rows, and its
-    lanes at the largest lane size of any of its policies."""
+def _one_lane_floats(policy, k, horizon):
+    """Floats a call adds once for the one lane at a time that the MIN,
+    MV-LCB and ExpExp kernels work on: three ``(k, horizon)`` arrays and four
+    ``horizon`` rows.  UCB and MaRaB outside the MIN limit add none."""
+    stepped = policy.kind == "marab" and _tail_key(policy, horizon) is not None
+    return 0 if policy.kind == "ucb" or stepped else (3 * k + 4) * horizon
+
+
+def _run_call_floats(configs, instances):
+    """Floats a run's call of ``instances`` instances counts: their reward
+    rows, and the largest of any policy's lanes and one-lane floats."""
     first = configs[0]
     k, horizon = first.problem.k, first.horizon
-    lane = max(_lane_floats(c.policy, k, horizon) for c in configs)
-    return first.n_runs * (k * horizon + lane)
+    lanes = instances * first.n_runs
+    return lanes * k * horizon + max(
+        lanes * _lane_floats(c.policy, k, horizon) + _one_lane_floats(c.policy, k, horizon) for c in configs
+    )
 
 
 def _tail_key(policy, horizon):
@@ -345,7 +356,7 @@ class TestPackInstances:
     SIZE = 6 * (4 * 200 + 4 * 200)
 
     def test_small_instances_share_one_call(self, small_cfg, monkeypatch):
-        assert _instance_floats([small_cfg]) == self.SIZE
+        assert _run_call_floats([small_cfg], 1) == self.SIZE
         assert run_plan([small_cfg], 5) == [[0, 1, 2, 3, 4]]
         monkeypatch.setattr(harness, "STACK_FLOATS", 2 * self.SIZE)
         assert run_plan([small_cfg], 5) == [[0, 1], [2, 3], [4]]
@@ -361,17 +372,16 @@ class TestPackInstances:
     @given(plan=run_plans(), budget=st.integers(1, 20000))
     def test_groups_fill_in_order_within_the_cap(self, plan, budget):
         configs, n = plan
-        size = _instance_floats(configs)
         with mock.patch.object(harness, "STACK_FLOATS", budget):
             calls = run_plan(configs, n)
         # every instance plays once, consecutive instances share calls
         assert [i for call in calls for i in call] == list(range(n))
         for i, g in enumerate(_sizes(calls)):
             if g > 1:
-                assert g * size <= budget
+                assert _run_call_floats(configs, g) <= budget
             # a call ends only where the next instance would break the cap
             if i < len(calls) - 1:
-                assert (g + 1) * size > budget
+                assert _run_call_floats(configs, g + 1) > budget
 
 
 # every spec's kernel call plan: call sizes for each policy of a run, per
@@ -434,7 +444,7 @@ class TestPack:
         with mock.patch.object(harness, "STACK_FLOATS", budget):
             groups = run_plan(configs, n)
             calls = sweep_plan(policies, (runs, k, horizon))
-        assert all(len(g) * _instance_floats(configs) <= budget for g in groups if len(g) > 1)
+        assert all(_run_call_floats(configs, len(g)) <= budget for g in groups if len(g) > 1)
         for call in calls:
             cells = [policies[i] for i in call]
             if len(call) > 1 and _cell_lanes(cells, horizon) > 1:
@@ -591,9 +601,9 @@ class TestPackCells:
 
     def test_oversized_cell_runs_alone(self, monkeypatch):
         # budget 200 floats on (2, 10, 10); alpha = 0.999 keeps L = 10, so a
-        # cell's 2 * (2 * 10 + 15 * 11) = 370 floats exceed it on their own,
-        # while alpha = 0.1 is in the MIN limit and plays one set of lanes,
-        # 2 * 4 * 10 = 80 floats, for all its cells
+        # cell's 2 * (2 * 10 + 15 * 11 + 7 * 10) = 510 floats exceed it on
+        # their own, while alpha = 0.1 is in the MIN limit and plays one set
+        # of lanes, 2 * 4 * 10 + 34 * 10 = 420 floats, for all its cells
         monkeypatch.setattr(harness, "STACK_FLOATS", 200)
         small, big = MaRaB(c=0.0, alpha=0.1), MaRaB(c=0.0, alpha=0.999)
         assert sweep_plan([small, small, big, small], (2, 10, 10)) == [[0, 1, 3], [2]]
@@ -711,29 +721,45 @@ class TestCallMemory:
         # a run's call draws its instances' reward rows, which the rule
         # counts; a sweep's call plays an array drawn before it.  MIN-limit
         # cells play one set of lanes and are accounted once
-        import tracemalloc
-
         @settings(max_examples=12, deadline=None, derandomize=True, database=None)
         @given(call=kernel_calls(kind, command))
         def check(call):
-            configs, policies = call
-            first = configs[0]
-            k, horizon = first.problem.k, first.horizon
-            shape = (len(configs) * first.n_runs, k, horizon)
-            lanes = shape[0] * _cell_lanes(policies, horizon)
-            rule = lanes * _lane_floats(policies[0], k, horizon)
-            rng = np.random.default_rng(horizon)
-            tables = None if command == "run" else rng.random(shape)
-            tracemalloc.start()
-            try:
-                if tables is None:
-                    tables = rng.random(shape)
-                    rule += tables.size
-                for ledgers in harness._play_batches(tables, configs, policies):
-                    assert len(ledgers) == shape[0]
-                peak = tracemalloc.get_traced_memory()[1] / 8
-            finally:
-                tracemalloc.stop()
-            assert peak <= rule + np.getbufsize() + 2 * horizon + LANE_SLACK_FLOATS * lanes
+            assert_peak_keeps_the_rule(*call, command)
 
         check()
+
+    @pytest.mark.parametrize(
+        "policy",
+        [MIN(), MVLCB(rho=1.0, delta=0.1), ExpExp(rho=1.0, tau=990), MaRaB(c=0.5, alpha=1e-4)],
+        ids=lambda p: p.kind,
+    )
+    def test_one_lane_of_many_arms_keeps_the_rule(self, policy):
+        # one lane of 8 arms: the (k, horizon) temporaries of the kernels that
+        # work one lane at a time outweigh the lane's own rows
+        cfg = RunConfig(problem=gen_proof_of_concept(k=8), policy=policy, horizon=1000, seed=1, n_runs=1)
+        assert_peak_keeps_the_rule([cfg], [policy], "sweep")
+
+
+def assert_peak_keeps_the_rule(configs, policies, command):
+    """tracemalloc's peak over one call of ``policies`` on ``configs`` stays
+    within the budget rule plus the slack below."""
+    import tracemalloc
+
+    first = configs[0]
+    k, horizon = first.problem.k, first.horizon
+    shape = (len(configs) * first.n_runs, k, horizon)
+    lanes = shape[0] * _cell_lanes(policies, horizon)
+    rule = lanes * _lane_floats(policies[0], k, horizon) + _one_lane_floats(policies[0], k, horizon)
+    rng = np.random.default_rng(horizon)
+    tables = None if command == "run" else rng.random(shape)
+    tracemalloc.start()
+    try:
+        if tables is None:
+            tables = rng.random(shape)
+            rule += tables.size
+        for ledgers in harness._play_batches(tables, configs, policies):
+            assert len(ledgers) == shape[0]
+        peak = tracemalloc.get_traced_memory()[1] / 8
+    finally:
+        tracemalloc.stop()
+    assert peak <= rule + np.getbufsize() + 2 * horizon + LANE_SLACK_FLOATS * lanes

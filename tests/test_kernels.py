@@ -55,9 +55,13 @@ def reference_episode(table, policy, observe=ArmStats.update):
 
 
 def observe_unchecked(stats, x):
-    """What ``ArmStats.update`` records of a reward for the MaRaB and MIN
-    indices, the count and the sorted rewards, without its [0, 1] check."""
+    """What ``ArmStats.update`` records of a reward, in its order, without its
+    [0, 1] check: the sum, the count, the Welford sum of squared deviations
+    and the sorted rewards."""
+    prev_mean = stats.running_sum / stats.count if stats.count else 0.0
+    stats.running_sum += x
     stats.count += 1
+    stats.running_sq_dev += (x - prev_mean) * (x - stats.running_sum / stats.count)
     insort(stats._sorted, x)
 
 
@@ -231,17 +235,18 @@ class TestPackedCalls:
 
 
 @st.composite
-def stepped_tables(draw):
-    """A ``(lanes, k, horizon)`` batch for the stepped kernels, 1 or 40 lanes:
-    a few tied values, a dominant arm (long blocks) or arms of one
-    distribution (a switch every few rounds), with rewards as drawn, scaled
-    by 1e6 or 1e-6, or shifted negative; horizons from ``k`` to ``k + 3``
-    (every block cut at the horizon) or longer."""
+def lane_tables(draw, kinds=("tied", "dominant", "alike")):
+    """A ``(lanes, k, horizon)`` batch, 1 or 40 lanes, of one of ``kinds``: a
+    few tied values, a dominant arm (long blocks), arms of one distribution
+    (a switch every few rounds) or arms of one mean and different spreads
+    (``"spread"``), with rewards as drawn, scaled by 1e6 or 1e-6, or shifted
+    negative; horizons from ``k`` to ``k + 3`` (every block cut at the
+    horizon) or longer."""
     lanes = draw(st.sampled_from([1, 40]))
     k = draw(st.integers(2, 5))
     horizon = draw(st.one_of(st.integers(k, k + 3), st.integers(k, 40 if lanes > 1 else 150)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["tied", "dominant", "alike"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "tied":
         pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
         batch = rng.choice(np.array(pool), size=(lanes, k, horizon))
@@ -250,13 +255,16 @@ def stepped_tables(draw):
         if kind == "dominant":
             batch[:, draw(st.integers(0, k - 1))] += 1.0
             batch /= 2.0
+        elif kind == "spread":
+            spread = rng.random((lanes, k, 1))
+            batch = 0.5 + spread * (batch - 0.5)
     return draw(st.sampled_from([1.0, 1e6, 1e-6])) * batch - draw(st.sampled_from([0.0, 0.75]))
 
 
 class TestSteppedKernels:
-    """MaRaB and MIN step each lane to its next possible switch.  Every step
-    moves each unfinished lane on by at least one round, and the records
-    equal the object layer's bit for bit, on rewards of any scale and sign."""
+    """MaRaB steps each lane to its next possible switch.  Every step moves
+    each unfinished lane on by at least one round, and the records equal the
+    object layer's bit for bit, on rewards of any scale and sign."""
 
     @pytest.fixture
     def step_checked(self, monkeypatch):
@@ -273,21 +281,13 @@ class TestSteppedKernels:
     def test_marab_equals_object_layer(self, step_checked):
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @given(
-            batch=stepped_tables(),
+            batch=lane_tables(),
             c=st.sampled_from([0.0, 1e-6, 1e-3, 0.1, 1000.0]),
             alpha=st.one_of(st.floats(0.01, 0.05), _unit, st.just(0.999)),
         )
         def check(batch, c, alpha):
             played = episode_marab(batch, c, alpha)
             assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), *played, observe=observe_unchecked)
-
-        check()
-
-    def test_min_equals_object_layer(self, step_checked):
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-        @given(batch=stepped_tables())
-        def check(batch):
-            assert_runs_match_reference(batch, MIN(), *episode_min(batch), observe=observe_unchecked)
 
         check()
 
@@ -302,6 +302,61 @@ class TestSteppedKernels:
             for i, c in enumerate(cells):
                 lanes = slice(40 * i, 40 * (i + 1))
                 assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), chosen[lanes], rewards[lanes])
+        assert_runs_match_reference(batch, MIN(), *episode_min(batch))
+
+
+class TestMergedKernels:
+    """MIN and MV-LCB play each lane as one stable merge of its arms' key
+    sequences, and ExpExp computes its commitment from prefix statistics.
+    The records equal the object layer's bit for bit, on rewards of any
+    scale and sign."""
+
+    def test_min_equals_object_layer(self):
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(batch=lane_tables())
+        def check(batch):
+            assert_runs_match_reference(batch, MIN(), *episode_min(batch), observe=observe_unchecked)
+
+        check()
+
+    def test_mvlcb_equals_object_layer(self):
+        # delta near 1 and a small rho leave a narrow confidence width, so an
+        # arm's key falls below its earlier keys and the running maximum
+        # decides the rounds; arms of different spread make the variance count
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(
+            batch=lane_tables(kinds=("tied", "dominant", "alike", "spread")),
+            rho=st.one_of(st.floats(1e-3, 0.1), _positive),
+            delta=st.one_of(st.floats(0.9, 0.999, exclude_max=True), _unit),
+        )
+        def check(batch, rho, delta):
+            policy = MVLCB(rho=rho, delta=delta)
+            played = episode_mvlcb(batch, rho, delta)
+            assert_runs_match_reference(batch, policy, *played, observe=observe_unchecked)
+
+        check()
+
+    def test_expexp_equals_object_layer(self):
+        # tau below k (the kernel finishes the first pass), tau past the
+        # horizon (no commitment), and tau not a multiple of k
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(batch=lane_tables(kinds=("tied", "alike", "spread")), rho=_positive, data=st.data())
+        def check(batch, rho, data):
+            k, horizon = batch.shape[1:]
+            tau = data.draw(st.one_of(st.integers(1, k), st.integers(k, horizon + 2), st.just(horizon)))
+            played = episode_expexp(batch, rho, tau)
+            assert_runs_match_reference(batch, ExpExp(rho=rho, tau=tau), *played, observe=observe_unchecked)
+
+        check()
+
+    @pytest.mark.parametrize("delta", [0.01, 0.99])
+    def test_long_episodes_equal_object_layer(self, delta):
+        # one arm of low spread through a long horizon, 40 lanes
+        rng = np.random.default_rng(4)
+        batch = rng.random((40, 4, 800))
+        batch[:, 1] = 0.4 + batch[:, 1] / 5
+        assert_runs_match_reference(batch, MVLCB(rho=0.05, delta=delta), *episode_mvlcb(batch, 0.05, delta))
+        assert_runs_match_reference(batch, ExpExp(rho=1.0, tau=403), *episode_expexp(batch, 1.0, 403))
         assert_runs_match_reference(batch, MIN(), *episode_min(batch))
 
 
