@@ -313,9 +313,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_bound(args) -> int:
     try:
-        with open(args.inputs) as fh:
+        with open(args.inputs, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read inputs {args.inputs}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {args.inputs}: {exc}") from None
@@ -331,18 +331,24 @@ def cmd_bound(args) -> int:
         if "mean_gaps" in doc:
             doc["mean_gaps"] = tuple(float(g) for g in doc["mean_gaps"])
         inputs = BoundInputs(**doc)
+    except OverflowError:  # float() of an int beyond the float range
+        raise ConfigError(f"{args.inputs}: mean_gaps must be non-negative and finite") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{args.inputs}: {exc}") from None
 
-    output = {
-        "inputs": asdict(inputs),
-        "min_policy": asdict(min_regret_bound(inputs)),
-        "min_policy_aligned": asdict(min_regret_bound_aligned(inputs)),
-        "ucb": (
-            ucb_regret_bound(inputs.mean_gaps, inputs.t) if inputs.mean_gaps is not None else None
-        ),
-    }
-    print(json.dumps(output, indent=2))
+    # a term the inputs put out of float range names them (theory._finite)
+    try:
+        output = {
+            "inputs": asdict(inputs),
+            "min_policy": asdict(min_regret_bound(inputs)),
+            "min_policy_aligned": asdict(min_regret_bound_aligned(inputs)),
+            "ucb": (
+                ucb_regret_bound(inputs.mean_gaps, inputs.t) if inputs.mean_gaps is not None else None
+            ),
+        }
+    except ValueError as exc:
+        raise ConfigError(f"{args.inputs}: {exc}") from None
+    print(json.dumps(output, indent=2, allow_nan=False))
     return 0
 
 

@@ -289,9 +289,9 @@ def parse_experiment_dict(doc: Any, source: str = "<spec>") -> ExperimentSpec:
 def load_experiment_spec(path) -> ExperimentSpec:
     """Read and validate a YAML experiment spec."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read spec {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None

@@ -396,18 +396,20 @@ STACK_FLOATS = 2**21
 def _call_floats(policies: Sequence[PolicyConfig], rows: int, k: int, horizon: int) -> int:
     """Floats a kernel call of ``policies`` on ``rows`` table rows allocates.
     Each lane has two ``horizon``-long records, and the larger of two ledger
-    regret rows and MaRaB's ``k`` sorted rows of
-    :func:`~riskbandit.kernels.buffer_width` floats, five such rows of
-    temporaries and seven ``k``-long rows of per-arm state.  MIN, MV-LCB and
-    ExpExp work on one lane at a time, which adds three ``(k, horizon)``
-    arrays and four ``horizon`` rows."""
+    regret rows and MaRaB's arena of sorted segments
+    (:func:`~riskbandit.kernels.arena_size`) with five rows of
+    :func:`~riskbandit.kernels.buffer_width` floats of temporaries, and
+    nine ``k``-long rows of MaRaB's per-arm state.  MIN, MV-LCB and ExpExp
+    work on one lane at a time, which adds three ``(k, horizon)`` arrays and
+    four ``horizon`` rows."""
     policy, lanes = policies[0], call_lanes(policies, rows, horizon)
     if policy.kind == "ucb":
         return lanes * 4 * horizon
     if policy.kind != "marab" or _min_limit(policy, horizon):
         return lanes * 4 * horizon + (3 * k + 4) * horizon
+    arena = kernels.arena_size(policy.alpha, horizon, k)
     width = kernels.buffer_width(policy.alpha, horizon)
-    return lanes * (2 * horizon + max(2 * horizon, (k + 5) * width) + 7 * k)
+    return lanes * (2 * horizon + max(2 * horizon, arena + 5 * width) + 9 * k)
 
 
 def _pack(keys: Sequence, floats: Callable[[list[int]], int]) -> list[list[int]]:

@@ -100,11 +100,28 @@ After ``n`` pulls the kept row is one stable sort of the row and the ``n``
 rewards, which puts each reward after its equals like ``bisect.insort``, and
 its left-to-right ``cumsum`` gives the tail sum bit for bit.
 
+*The arena.*  No tail holds more than ``L`` rewards, so each ``(lane, arm)``
+keeps its ``held = min(pulls, L)`` lowest, sorted, in a *segment* of its
+lane's *arena* of :func:`arena_size` floats.  When ``k * L`` fits in ``4 *
+(horizon + k)`` floats every segment has room for ``L`` from the start and
+never moves: the arena is one ``(lanes * k, L)`` array, padded with
+``inf``, and a step reads and writes row ``ia`` of it.  Otherwise a segment
+starts with four slots, and its last slot always holds ``inf``: a step
+gathers each lane's row at ``offset[ia, None] + arange(width)`` clipped to
+that slot, the segment padded with ``inf``, and writes the new row back
+the same way, past ``held`` only ``inf``.  A step that leaves a segment
+with no free slot moves it to the end of its lane's arena, with twice its
+new ``held`` in slots, at most ``L + 1``.  So an arm's successive segments
+at least double, and the last has at most twice its final ``held``: they
+sum to less than four times its ``held``.  A lane holds at most
+``horizon`` rewards, so its arena, ``4 * k`` floats of first segments and
+``4 * horizon`` for the moved ones, never overflows.
+
 A lane's block starts at the cap, doubles after a step that pulled all of
 it, and is otherwise reset to twice the pulls the step made, at least a
 quarter of the cap.  The cap is ``horizon // 8``, cut so that a step's
 arrays fit what the budget rule (``harness._call_floats``) leaves beside
-the records and the sorted rows.  A stepped call writes only the first
+the records and the arena.  A stepped call writes only the first
 record of each block, its arm and where its rewards start in the table, and
 writes out every round once, at the end (``_Lockstep.records``).
 
@@ -130,9 +147,16 @@ def tail_sizes(alpha: float, horizon: int) -> np.ndarray:
 
 
 def buffer_width(alpha: float, horizon: int) -> int:
-    """Floats of MaRaB's sorted buffer per ``(lane, arm)``: ``L + 1``, for the
-    longest tail ``L`` of :func:`tail_sizes`."""
+    """``L + 1``, for the longest tail ``L`` of :func:`tail_sizes`: the floats
+    of the widest row a MaRaB step sorts, in which the budget rule counts
+    a step's temporaries."""
     return int(tail_sizes(alpha, horizon)[-1]) + 1
+
+
+def arena_size(alpha: float, horizon: int, k: int) -> int:
+    """Floats of one MaRaB lane's arena of sorted segments (module
+    docstring): ``k * L``, or ``4 * (horizon + k)`` when that is fewer."""
+    return min(k * (buffer_width(alpha, horizon) - 1), 4 * (horizon + k))
 
 
 class _Lockstep:
@@ -140,10 +164,11 @@ class _Lockstep:
 
     The lockstep kernel plays every lane's round ``t`` together through
     :meth:`pull`.  The stepped kernel gives each lane its own clock instead:
-    after :meth:`first_pass`, each step reads every lane's next rewards of
-    its chosen arm through :meth:`window` and advances its clock by a block
-    of pulls of that arm through :meth:`commit`, until :meth:`blocks` finds
-    every lane finished; :meth:`records` then writes out the rounds.
+    after :meth:`first_pass`, each step takes the lanes still playing from
+    :meth:`blocks`, reads each one's next rewards of its chosen arm through
+    :meth:`window` and advances its clock by a block of pulls of that arm
+    through :meth:`commit`, until every lane has finished; :meth:`records`
+    then writes out the rounds.
     """
 
     def __init__(self, rewards, cells=1):
@@ -155,12 +180,10 @@ class _Lockstep:
         self.arm0 = np.arange(self.lanes) * self.k  # flat (lane, arm) index of arm 0
         # flat (row, arm) index of arm 0 in each lane's table row
         self.table_arm0 = np.tile(np.arange(self.runs) * self.k, cells)
-        # the records, flat, with one spare slot that takes a finished lane's writes
-        self.spare = self.lanes * self.horizon
-        self.flat_chosen = np.empty(self.spare + 1, dtype=np.int64)
-        self.flat_reward = np.empty(self.spare + 1, dtype=np.float64)
-        self.chosen = self.flat_chosen[:-1].reshape(self.lanes, self.horizon)
-        self.reward_seq = self.flat_reward[:-1].reshape(self.lanes, self.horizon)
+        self.chosen = np.empty((self.lanes, self.horizon), dtype=np.int64)
+        self.reward_seq = np.empty((self.lanes, self.horizon), dtype=np.float64)
+        self.flat_chosen = self.chosen.reshape(-1)
+        self.flat_reward = self.reward_seq.reshape(-1)
 
     def pull(self, t, a):
         """Round ``t``: lane ``l`` pulls arm ``a[l]`` (or every lane pulls arm ``a``).
@@ -176,11 +199,11 @@ class _Lockstep:
         self.reward_seq[:, t - 1] = x
         return ia, cnt, x
 
-    def first_pass(self, width):
+    def first_pass(self, width, arena):
         """Rounds ``1..k``, where every lane pulls arm ``t - 1``, as ``k``
         blocks of one pull; starts every lane clock at ``k + 1`` and returns
-        the ``(lanes, k)`` rewards.  ``width`` is the kernel's
-        :func:`buffer_width`."""
+        the ``(lanes, k)`` rewards.  ``width`` and ``arena`` are the kernel's
+        :func:`buffer_width` and :func:`arena_size`."""
         arms = np.arange(self.k)
         first = (self.table_arm0[:, None] + arms) * self.horizon
         # until :meth:`records`, a record holds -1, or starts a block: its
@@ -192,8 +215,8 @@ class _Lockstep:
         self.t = np.full(self.lanes, self.k + 1)
         # a step holds about 3 * width + 5 * block floats per lane, within
         # what the budget rule (harness._call_floats) leaves beside the
-        # records and the k sorted rows
-        free = max(2 * self.horizon, (self.k + 5) * width) - (self.k + 3) * width
+        # records and the arena
+        free = max(2 * self.horizon, arena + 5 * width) - arena - 3 * width
         self.cap = max(1, min(self.horizon // 8, free // 5))
         self.floor = max(1, self.cap // 4)
         self.block = np.full(self.lanes, self.cap)
@@ -203,54 +226,57 @@ class _Lockstep:
         return self.flat[first]
 
     def blocks(self):
-        """Each lane's block length for its next step, cut at the horizon (0
-        once the lane has finished), and the longest of them."""
+        """The lanes still playing, their block lengths for the next step, cut
+        at the horizon, and the longest of them (0 once every lane has
+        finished).  The lanes are an index array, or while every lane plays
+        a slice of them all, through which a step reads views, not copies."""
         size = np.minimum(self.block, self.horizon + 1 - self.t)
-        return size, int(size.max())
+        on = slice(None) if size.all() else np.flatnonzero(size)
+        return on, size[on], int(size.max())
 
-    def window(self, a, width):
-        """Each lane's next ``width`` rewards of arm ``a[l]``, from its pull
-        count on, with the flat ``(lane, arm)`` indices, the pull counts and
-        the first reward's table index.  Entries past a lane's table row are
-        clipped garbage."""
-        ia = self.arm0 + a
+    def window(self, on, a, width):
+        """Each lane ``on[i]``'s next ``width`` rewards of arm ``a[i]``, from
+        its pull count on, with the flat ``(lane, arm)`` indices, the pull
+        counts and the first reward's table index.  Entries past a lane's
+        table row are clipped garbage."""
+        ia = self.arm0[on] + a
         cnt = self.flat_counts[ia]
-        first = (self.table_arm0 + a) * self.horizon + cnt
+        first = (self.table_arm0[on] + a) * self.horizon + cnt
         return ia, cnt, first, self.flat.take(first[:, None] + self.steps[:width], mode="clip")
 
     def rival(self, index, a):
-        """Per lane, the least index arm ``a[l]`` must keep to stay the argmax:
-        the best other arm's index, one ulp higher for lower-index arms, which
-        win ties."""
+        """Per row of ``index``, the least index arm ``a[i]`` must keep to
+        stay the argmax: the best other arm's index, one ulp higher for
+        lower-index arms, which win ties."""
         rival = np.where(self.lower[a], np.nextafter(index, np.inf), index)
-        rival[self.lane, a] = -np.inf
+        rival[self.lane[: len(a)], a] = -np.inf
         return rival.max(axis=1)
 
-    def commit(self, a, ia, cnt, first, n, size):
-        """Lane ``l`` pulls arm ``a[l]`` ``n[l]`` times (at least once unless it
-        has finished) from round ``t[l]`` on, the block that :meth:`window`
-        read at ``first[l]``.  Its clock advances by ``n[l]``; its block
-        doubles when the lane pulled all ``size[l]``, and is otherwise reset
-        to twice the pulls it made, but to no less than a quarter of the cap."""
-        at = np.where(n > 0, self.lane * self.horizon + self.t - 1, self.spare)
+    def commit(self, on, a, ia, cnt, first, n, size):
+        """Lane ``on[i]`` pulls arm ``a[i]`` ``n[i] >= 1`` times from round
+        ``t`` on, the block that :meth:`window` read at ``first[i]``.  Its
+        clock advances by ``n[i]``; its block doubles when the lane pulled
+        all ``size[i]``, and is otherwise reset to twice the pulls it made,
+        but to no less than a quarter of the cap."""
+        at = self.lane[on] * self.horizon + self.t[on] - 1
         self.flat_chosen[at] = a
         self.flat_reward[at] = first - at
         self.flat_counts[ia] = cnt + n
-        self.t += n
-        self.block = np.clip(2 * np.where(n == size, self.block, n), self.floor, self.cap)
+        self.t[on] += n
+        # np.minimum and np.maximum clip as np.clip does, in a quarter of its time
+        self.block[on] = np.minimum(np.maximum(2 * np.where(n == size, self.block[on], n), self.floor), self.cap)
 
     def records(self):
         """``(chosen, reward_seq)``: every committed block written out, round by round."""
         # each record's block start, the last start at or before it
-        start = np.arange(self.spare)
-        start[self.flat_chosen[:-1] < 0] = 0
+        start = np.arange(self.flat_chosen.size)
+        start[self.flat_chosen < 0] = 0
         np.maximum.accumulate(start, out=start)
-        records = self.flat_chosen[:-1]
-        np.take(records, start, out=records, mode="clip")
+        np.take(self.flat_chosen, start, out=self.flat_chosen, mode="clip")
         index = self.flat_reward[start]
         del start
-        index += np.arange(self.spare, dtype=np.float64)
-        np.take(self.flat, index.astype(np.int64), out=self.flat_reward[:-1], mode="clip")
+        index += np.arange(index.size, dtype=np.float64)
+        np.take(self.flat, index.astype(np.int64), out=self.flat_reward, mode="clip")
         return self.chosen, self.reward_seq
 
 
@@ -282,15 +308,27 @@ def _marab_steps(b, c, alpha):
     """Every round of a MaRaB call, in certified blocks (module docstring)."""
     width = buffer_width(alpha, b.horizon)
     n_tail = tail_sizes(alpha, b.horizon)
-    # the log of the tail size at each round, and once more for the clock
-    # of a finished lane
-    log_tail = np.array(list(map(math.log, n_tail.tolist())) + [0.0])
+    log_tail = np.array(list(map(math.log, n_tail.tolist())))  # at each round
     # no tail ever holds more than L = width - 1 rewards, so each (lane, arm)
-    # keeps only its L lowest, sorted and padded with inf
+    # keeps only its L lowest, sorted, in a segment of its lane's arena
     most = width - 1
-    low = np.full((b.lanes * b.k, most), np.inf)
-    x = b.first_pass(width)
-    low[:, 0] = x.reshape(-1)
+    lane_floats = arena_size(alpha, b.horizon, b.k)
+    x = b.first_pass(width, lane_floats)
+    fixed = b.k * most <= lane_floats
+    if fixed:
+        # every segment has room for L from the start: row ia, padded with inf
+        arena = np.full((b.lanes * b.k, most), np.inf)
+        arena[:, 0] = x.reshape(-1)
+    else:
+        # segments start with four slots; a segment's last slot always holds
+        # inf and stands for every slot past it
+        base = b.lane * lane_floats
+        offset = (base[:, None] + 4 * np.arange(b.k)).reshape(-1)
+        room = np.full(b.lanes * b.k, 4)
+        top = base + 4 * b.k  # each lane's first free slot
+        arena = np.full(b.lanes * lane_floats, np.inf)
+        span = np.arange(most)
+        arena[offset] = x.reshape(-1)
     # only a pulled arm's tail changes, so each arm's tail size and tail mean
     # are kept and refreshed after its pulls rather than rebuilt every step
     n_alpha = np.ones((b.lanes, b.k), dtype=np.int64)
@@ -301,34 +339,62 @@ def _marab_steps(b, c, alpha):
     terms = most + b.cap
     scale = max(abs(b.flat.max()), abs(b.flat.min()))
     margin = terms**2 * 2.0**-50 * scale + np.finfo(np.float64).tiny
-    rr = b.lane
     while True:
-        size, block = b.blocks()
+        on, size, block = b.blocks()
         if block == 0:
             return
-        index = tail_mean - c * np.sqrt(log_tail[b.t][:, None] / n_alpha)
+        # a step works on the lanes still playing alone
+        t, c_on = b.t[on], c[on]
+        index = tail_mean[on] - c_on * np.sqrt(log_tail[t][:, None] / n_alpha[on])
         a = index.argmax(axis=1)
-        ia, cnt, first, x = b.window(a, block)
+        ia, cnt, first, x = b.window(on, a, block)
         held = np.minimum(cnt, most)  # rewards in each kept row
-        row = low[ia, : held.max()]
+        longest = int(held.max())
+        keep = min(longest + block, most)  # the most a row holds after the step
+        if fixed:
+            row = arena[ia, :longest]
+        else:
+            at = _segment(offset[ia], room[ia], span[:keep])
+            row = arena.take(at[:, :longest])
         n = size
         if block > 1:
-            n = np.minimum(n, _certified(row, held, x[:, :-1], cnt, b, n_tail, log_tail, c, margin, b.rival(index, a)))
+            rival = b.rival(index, a)
+            n = np.minimum(n, _certified(row, held, x[:, :-1], cnt, t, b, n_tail, log_tail, c_on, margin, rival))
         # the kept row after n pulls: a stable sort of the row and the first
         # n rewards, which sorts each reward after its equals like bisect.insort
         x[b.steps[:block] >= n[:, None]] = np.inf
-        keep = min(row.shape[1] + block, most)
         row = np.concatenate((row, x), axis=1)
         row.sort(axis=1, kind="stable")
-        low[ia, :keep] = row[:, :keep]
+        if fixed:
+            arena[ia, :keep] = row[:, :keep]
+        else:
+            # a segment left with no free slot moves to its lane's arena end,
+            # with twice its held in slots, at most L + 1
+            held = np.minimum(cnt + n, most)
+            moved = held >= room[ia]
+            if moved.any():
+                grown = ia[moved]
+                lane = grown // b.k
+                room[grown] = np.minimum(2 * held[moved], most + 1)
+                offset[grown] = top[lane]
+                top[lane] += room[grown]
+                at = _segment(offset[ia], room[ia], span[:keep])
+            arena[at] = row[:, :keep]
         na = n_tail[cnt + n]
         flat_n_alpha[ia] = na
         # cumsum adds left to right, the order ArmStats.empirical_cvar uses
-        flat_tail_mean[ia] = row[:, : na.max()].cumsum(axis=1)[rr, na - 1] / na
-        b.commit(a, ia, cnt, first, n, size)
+        flat_tail_mean[ia] = row[:, : na.max()].cumsum(axis=1)[b.lane[: len(ia)], na - 1] / na
+        b.commit(on, a, ia, cnt, first, n, size)
 
 
-def _certified(row, held, xs, cnt, b, n_tail, log_tail, c, margin, rival):
+def _segment(start, room, span):
+    """Flat arena indices of each lane's segment of ``room`` slots at
+    ``start``: ``start + span``, every index past the last slot at it."""
+    at = start[:, None] + span
+    return np.minimum(at, (start + room - 1)[:, None], out=at)
+
+
+def _certified(row, held, xs, cnt, t, b, n_tail, log_tail, c, margin, rival):
     """Per lane, the pulls of its arm certified to follow from round ``t``: the
     first ``u`` in ``1..len(xs)`` at which a lower bound on the arm's index
     after ``u`` more pulls of rewards ``xs[:u]`` falls below ``rival``, or
@@ -338,7 +404,7 @@ def _certified(row, held, xs, cnt, b, n_tail, log_tail, c, margin, rival):
     n_u = n_tail.take(cnt[:, None] + u, mode="clip")
     n1 = n_u[:, 0]
     fits = n1 <= held
-    rr = b.lane
+    rr = b.lane[: len(held)]
     w = np.empty(xs.shape)  # a lower bound on the tail sum after u pulls
     if fits.any():
         # each reward below theta, the kept row's n1-th lowest, replaces a
@@ -368,7 +434,7 @@ def _certified(row, held, xs, cnt, b, n_tail, log_tail, c, margin, rival):
         del total
     w /= n_u
     w -= margin
-    explore = log_tail.take(b.t[:, None] + u, mode="clip")
+    explore = log_tail.take(t[:, None] + u, mode="clip")
     explore /= n_u
     np.sqrt(explore, out=explore)
     explore *= c

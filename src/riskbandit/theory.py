@@ -20,14 +20,17 @@ Both return a high-probability bound (valid with probability ``1 - delta``)
 and, when the stated side condition on ``t`` holds, a bound in expectation;
 otherwise the expectation field is ``None`` and ``note`` says why.
 :func:`ucb_regret_bound` gives the classical logarithmic bound for UCB for
-comparison.  All evaluators are pure and deterministic.
+comparison.  All evaluators are pure and deterministic, and raise a
+``ValueError`` naming the inputs of any term their values put out of the
+float range, rather than return an infinite bound.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -156,7 +159,8 @@ class BoundInputs:
         for name in ("density_floor", "max_mean_gap", "min_infimum_gap", "delta"):
             value = getattr(self, name)
             is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (is_number and math.isfinite(value)):
+            # compares exactly, where math.isfinite overflows on a large int
+            if not (is_number and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.mean_gaps is not None and not all(0.0 <= g < math.inf for g in self.mean_gaps):
             raise ValueError(f"mean_gaps must be non-negative and finite, got {self.mean_gaps}")
@@ -225,9 +229,12 @@ def min_regret_bound(inputs: BoundInputs) -> BoundResult:
         # every arm is mean-optimal: nothing to regret
         return BoundResult(high_prob=0.0, expectation=0.0)
     a_floor = inputs.density_floor
-    ratio = inputs.max_mean_gap / inputs.min_infimum_gap
-    lead = (m / a_floor) * ratio
-    high = lead * math.log(inputs.t * inputs.n_arms / inputs.delta) + m * inputs.max_mean_gap
+    ratio = _finite("max_mean_gap / min_infimum_gap", lambda: inputs.max_mean_gap / inputs.min_infimum_gap)
+    scale = _finite("(n_arms - n_optimal) / density_floor", lambda: m / a_floor)
+    lead = _finite("(n_arms - n_optimal) / density_floor * max_mean_gap / min_infimum_gap", lambda: scale * ratio)
+    linear = _finite("(n_arms - n_optimal) * max_mean_gap", lambda: m * inputs.max_mean_gap)
+    log_confidence = _log_confidence(inputs)
+    high = _finite("the high-probability bound", lambda: lead * log_confidence + linear)
     t_min = (m / a_floor) * (inputs.min_infimum_gap / inputs.max_mean_gap)
     if inputs.t < t_min:
         return BoundResult(
@@ -235,14 +242,17 @@ def min_regret_bound(inputs: BoundInputs) -> BoundResult:
             expectation=None,
             note=f"expectation form needs t >= {t_min:.6g}, got t={inputs.t}",
         )
-    inner = (
-        inputs.t**2
-        * inputs.n_arms
-        * a_floor
-        * inputs.min_infimum_gap
-        / (m * inputs.max_mean_gap)
+    log_inner = _finite(
+        "log(t**2 * n_arms * density_floor * min_infimum_gap / ((n_arms - n_optimal) * max_mean_gap))",
+        lambda: math.log(
+            inputs.t**2
+            * inputs.n_arms
+            * a_floor
+            * inputs.min_infimum_gap
+            / (m * inputs.max_mean_gap)
+        ),
     )
-    expect = lead * (math.log(inner) + 1.0) + m * inputs.max_mean_gap
+    expect = _finite("the bound in expectation", lambda: lead * (log_inner + 1.0) + linear)
     return BoundResult(high_prob=high, expectation=expect)
 
 
@@ -260,19 +270,40 @@ def min_regret_bound_aligned(inputs: BoundInputs) -> BoundResult:
     if m == 0:
         return BoundResult(high_prob=0.0, expectation=0.0)
     a_floor = inputs.density_floor
-    high = (m / a_floor) * math.log(
-        inputs.t * inputs.n_arms / inputs.delta
-    ) + m * inputs.max_mean_gap
-    t_min = m / a_floor
+    t_min = _finite("(n_arms - n_optimal) / density_floor", lambda: m / a_floor)
+    linear = _finite("(n_arms - n_optimal) * max_mean_gap", lambda: m * inputs.max_mean_gap)
+    log_confidence = _log_confidence(inputs)
+    high = _finite("the high-probability bound", lambda: t_min * log_confidence + linear)
     if not inputs.t > t_min:
         return BoundResult(
             high_prob=high,
             expectation=None,
             note=f"expectation form needs t > {t_min:.6g}, got t={inputs.t}",
         )
-    inner = inputs.t**2 * inputs.n_arms * a_floor / m
-    expect = (m / a_floor) * (math.log(inner) + 1.0) + m * inputs.max_mean_gap
+    log_inner = _finite(
+        "log(t**2 * n_arms * density_floor / (n_arms - n_optimal))",
+        lambda: math.log(inputs.t**2 * inputs.n_arms * a_floor / m),
+    )
+    expect = _finite("the bound in expectation", lambda: t_min * (log_inner + 1.0) + linear)
     return BoundResult(high_prob=high, expectation=expect)
+
+
+def _log_confidence(inputs: BoundInputs) -> float:
+    """``log(t * K / delta)``, the log term of both max-min bounds."""
+    return _finite("log(t * n_arms / delta)", lambda: math.log(inputs.t * inputs.n_arms / inputs.delta))
+
+
+def _finite(term: str, compute: Callable[[], float]) -> float:
+    """``compute()``, the value of ``term``; a ``ValueError`` naming ``term``
+    if its inputs put it out of the float range: an int too large for a
+    float, a result that overflows, or a log of a product that underflows."""
+    try:
+        value = compute()
+    except (OverflowError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{term} is out of float range")
+    return value
 
 
 def ucb_regret_bound(mean_gaps: Sequence[float], t: int) -> float:
@@ -288,8 +319,8 @@ def ucb_regret_bound(mean_gaps: Sequence[float], t: int) -> float:
     if any(g < 0.0 for g in gaps):
         raise ValueError("mean gaps must be non-negative")
     log_t = math.log(t)
-    log_term = 8.0 * sum(log_t / g for g in gaps if g > 0.0)
-    return log_term + (1.0 + math.pi**2 / 3.0) * sum(gaps)
+    log_term = _finite("log(t) / mean_gaps", lambda: 8.0 * sum(log_t / g for g in gaps if g > 0.0))
+    return _finite("the UCB bound", lambda: log_term + (1.0 + math.pi**2 / 3.0) * sum(gaps))
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,13 @@ class TestRun:
     def test_missing_spec_file_exit_1(self, tmp_path):
         assert main(["run", "--spec", str(tmp_path / "absent.yaml")]) == 1
 
+    def test_spec_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read spec {path}: ") and len(err.splitlines()) == 1
+
     def test_bad_seed_override_exit_1(self, spec_file, capsys):
         assert main(["run", "--spec", str(spec_file), "--seed", "-1"]) == 1
         assert "--seed" in capsys.readouterr().err
@@ -287,6 +294,14 @@ class TestRun:
 
 
 class TestSweep:
+    def test_spec_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "sweep.yaml"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read spec {path}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_grid_and_base_cells(self, tmp_path):
         path = tmp_path / "sweep.yaml"
         path.write_text(SWEEP_TEXT)
@@ -491,6 +506,38 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"t": 10**400}, "log(t * n_arms / delta) is out of float range"),
+            ({"density_floor": 1e-320}, "(n_arms - n_optimal) / density_floor is out of float range"),
+            ({"min_infimum_gap": 1e-320}, "max_mean_gap / min_infimum_gap is out of float range"),
+            ({"mean_gaps": [1e-320]}, "log(t) / mean_gaps is out of float range"),
+            ({"max_mean_gap": 1e308}, "max_mean_gap / min_infimum_gap is out of float range"),
+            ({"delta": 1e-320}, "log(t * n_arms / delta) is out of float range"),
+            ({"density_floor": 10**400}, "density_floor must be a finite number"),
+            ({"mean_gaps": [10**400]}, "mean_gaps must be non-negative and finite"),
+        ],
+        ids=[
+            "huge_t", "tiny_density_floor", "tiny_infimum_gap", "tiny_ucb_gap", "huge_mean_gap",
+            "tiny_delta", "huge_int_density_floor", "huge_int_ucb_gap",
+        ],
+    )
+    def test_out_of_float_range_one_line_exit_1(self, tmp_path, capsys, override, message):
+        # each of these once printed a traceback, an Infinity or a negative
+        # bound, or exited 2
+        path = self._write(tmp_path, {**self.GOLDEN, **override})
+        assert main(["bound", "--inputs", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_inputs_not_utf8_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "inputs.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["bound", "--inputs", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read inputs {path}: ")
 
 
 class TestCheckLemma:

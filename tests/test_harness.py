@@ -273,14 +273,15 @@ class TestStackedInstances:
 
 def _lane_floats(policy, k, horizon):
     """Floats one lane allocates by the budget's rule: two ``horizon``-long
-    records, plus the larger of two ledger regret rows and MaRaB's ``k``
-    sorted rows of ``L + 1`` floats with five more rows of temporaries, and
-    seven ``k``-long rows of MaRaB's per-arm state."""
+    records, plus the larger of two ledger regret rows and MaRaB's arena of
+    ``min(k * L, 4 * (horizon + k))`` floats with five rows of ``L + 1``
+    floats of temporaries, and nine ``k``-long rows of MaRaB's per-arm
+    state."""
     if policy.kind == "marab":
         L = int(tail_sizes(policy.alpha, horizon)[-1])
-        # a one-reward tail plays MIN and keeps no buffer
+        # a one-reward tail plays MIN and keeps no arena
         if L > 1:
-            return 2 * horizon + max(2 * horizon, (k + 5) * (L + 1)) + 7 * k
+            return 2 * horizon + max(2 * horizon, min(k * L, 4 * (horizon + k)) + 5 * (L + 1)) + 9 * k
     return 4 * horizon
 
 
@@ -396,7 +397,7 @@ SPEC_PLANS = [
     (
         "recipes/marab_alpha_sweep.yaml",
         "sweep",
-        {"marab": [4, 4, 4, 4, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1], "min": [1]},
+        {"marab": [4, 4, 4, 4, 3, 1, 3, 1, 2, 2], "min": [1]},
     ),
 ]
 
@@ -739,10 +740,18 @@ class TestCallMemory:
         cfg = RunConfig(problem=gen_proof_of_concept(k=8), policy=policy, horizon=1000, seed=1, n_runs=1)
         assert_peak_keeps_the_rule([cfg], [policy], "sweep")
 
+    def test_large_alpha_holds_less_than_k_tails_per_lane(self):
+        # at alpha 0.999 a tail holds up to L = 999 rewards, but a lane holds
+        # at most horizon rewards across its 20 arms: the whole call peaks
+        # below the lanes * k * L floats of one L-long sorted row per arm
+        policy = MaRaB(c=0.5, alpha=0.999)
+        cfg = RunConfig(problem=gen_proof_of_concept(k=20), policy=policy, horizon=1000, seed=1, n_runs=8)
+        assert assert_peak_keeps_the_rule([cfg], [policy], "sweep") < 8 * 20 * 999
+
 
 def assert_peak_keeps_the_rule(configs, policies, command):
     """tracemalloc's peak over one call of ``policies`` on ``configs`` stays
-    within the budget rule plus the slack below."""
+    within the budget rule plus the slack below; returns the peak in floats."""
     import tracemalloc
 
     first = configs[0]
@@ -763,3 +772,4 @@ def assert_peak_keeps_the_rule(configs, policies, command):
     finally:
         tracemalloc.stop()
     assert peak <= rule + np.getbufsize() + 2 * horizon + LANE_SLACK_FLOATS * lanes
+    return peak

@@ -263,18 +263,18 @@ def lane_tables(draw, kinds=("tied", "dominant", "alike")):
 
 class TestSteppedKernels:
     """MaRaB steps each lane to its next possible switch.  Every step moves
-    each unfinished lane on by at least one round, and the records equal the
-    object layer's bit for bit, on rewards of any scale and sign."""
+    each unfinished lane, and only those, on by at least one round, and the
+    records equal the object layer's bit for bit, on rewards of any scale
+    and sign."""
 
     @pytest.fixture
     def step_checked(self, monkeypatch):
         commit = kernels._Lockstep.commit
 
-        def checked(b, a, ia, cnt, first, n, size):
-            playing = b.t <= b.horizon
-            assert np.all(n[playing] >= 1) and np.all(n[~playing] == 0)
-            assert np.all(b.t + n <= b.horizon + 1)
-            commit(b, a, ia, cnt, first, n, size)
+        def checked(b, on, a, ia, cnt, first, n, size):
+            assert np.array_equal(b.lane[on], np.flatnonzero(b.t <= b.horizon))
+            assert np.all(n >= 1) and np.all(b.t[on] + n <= b.horizon + 1)
+            commit(b, on, a, ia, cnt, first, n, size)
 
         monkeypatch.setattr(kernels._Lockstep, "commit", checked)
 
@@ -303,6 +303,37 @@ class TestSteppedKernels:
                 lanes = slice(40 * i, 40 * (i + 1))
                 assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), chosen[lanes], rewards[lanes])
         assert_runs_match_reference(batch, MIN(), *episode_min(batch))
+
+    def test_moved_segments_equal_object_layer(self, step_checked):
+        # k * L > 4 * (horizon + k), so each arm's segment of sorted rewards
+        # starts with four slots and moves as it fills.  Two arms of one
+        # distribution dominate the rest and trade places on their exact
+        # tails; one is pulled far more often than any arm's first move
+        # leaves room for, fewer than 2 * (3 + cap) rewards with cap <=
+        # horizon // 8, so its segment moves again
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(
+            lanes=st.sampled_from([1, 3, 8]),
+            k=st.integers(6, 9),
+            data=st.data(),
+            c=st.sampled_from([0.0, 1e-6, 1e-3, 0.1]),
+            alpha=st.one_of(st.floats(0.9, 0.999), st.just(0.999)),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(lanes, k, data, c, alpha, seed):
+            horizon = data.draw(st.integers(8 * k, 300))
+            L = int(kernels.tail_sizes(alpha, horizon)[-1])
+            assert kernels.arena_size(alpha, horizon, k) < k * L
+            rng = np.random.default_rng(seed)
+            batch = rng.random((lanes, k, horizon)) / 2
+            for table in batch:
+                table[rng.choice(k, 2, replace=False)] += 0.5
+            chosen, rewards = episode_marab(batch, c, alpha)
+            held = np.minimum([np.bincount(row, minlength=k).max() for row in chosen], L)
+            assert held.max() >= 2 * (3 + horizon // 8)
+            assert_runs_match_reference(batch, MaRaB(c=c, alpha=alpha), chosen, rewards, observe=observe_unchecked)
+
+        check()
 
 
 class TestMergedKernels:
